@@ -1,35 +1,30 @@
 """Table-granular det-cache invalidation + append-only incremental refresh.
 
-The seed protocol kept one version number for the whole catalog: any
-mutation — even a scratch table no query reads — dropped every cached
-deterministic subtree, and the next query re-ran each det pipeline from
-scratch.  ``det_cache_keying="table"`` keys each entry by the per-table
-versions of its plan's base tables, so unrelated mutations leave entries
-untouched, and append-only growth (``Catalog.append``) splices just the
-new rows through Scan/Seed/Select/Project/Join instead of recomputing.
+The session det-cache keys each entry by the per-table versions of its
+plan's base tables, so unrelated mutations leave entries untouched, and
+append-only growth (``Catalog.append``) splices just the new rows
+through Scan/Seed/Select/Project/Join instead of recomputing.
 
 Part 1 drives a mutation-heavy workload over a hot ledger⋈accounts det
 pipeline (the hash join's Python row loop is the recomputation cost the
 cache exists to avoid): every round rewrites an unrelated scratch table,
-every other round appends a small ledger delta.  Gates:
+every other round appends a small ledger delta.  It runs next to an
+ungated uncached leg (``det_cache="off"``, the simplest path giving the
+same answer) on the same schedule; the checksums must match.  Gate:
 
-* **recomputations**: det-subtree recomputations (cache misses) must
-  shrink >= 5x under table keying vs the coarse catalog protocol;
-* **wall clock**: the mutation path must run >= 2x faster (best of
-  interleaved ``REPS``; both keyings see identical mutation schedules);
 * **append splices**: at least one append-refresh must actually happen
-  — otherwise the wall-clock win would just be measuring cache hits.
+  — otherwise the cached leg would just be measuring cache hits.
 
 Part 2 pins the correctness contract: MC and deep-tail samples across
-keying x backend x replenishment — with a mid-session append on every
-leg — must be bit-identical to the coarse-keyed serial reference.
+backend x replenishment — with a mid-session append on every leg — must
+be bit-identical to the uncached serial reference.
 
 Run:  python benchmarks/bench_incremental.py [--json]
 """
 
 import numpy as np
 
-from repro.engine.det_cache import SessionDetCache
+from repro.engine.det_cache import NullDetCache, SessionDetCache
 from repro.engine.expressions import col, lit
 from repro.engine.operators import (
     ExecutionContext, Join, Project, Scan, Select)
@@ -68,15 +63,15 @@ def _pipeline():
                    keep=["acct", "amount"])
 
 
-def _mutation_path(keying):
+def _mutation_path(cache):
     """One warm query, then ROUNDS of mutate-and-requery.
 
     Every round rewrites the unrelated scratch table; every other round
-    also appends APPEND_ROWS fresh ledger rows.  Both keyings see the
-    exact same schedule and must produce the exact same checksums.
+    also appends APPEND_ROWS fresh ledger rows.  Cached and uncached legs
+    see the exact same schedule and must produce the exact same
+    checksums.
     """
     catalog = _catalog()
-    cache = SessionDetCache(keying=keying)
     plan = _pipeline()
     rng = np.random.default_rng(BASE_SEED + 1)
 
@@ -100,7 +95,7 @@ def _mutation_path(keying):
         return checksums
 
     checksums, seconds = timed(loop)
-    return cache.stats(), seconds, checksums
+    return seconds, checksums
 
 
 CREATE = """
@@ -120,12 +115,12 @@ TAIL_QUERY = """
 """
 
 
-def _session_leg(keying, backend, replenishment):
+def _session_leg(det_cache, backend, replenishment):
     """MC + tail -> append -> MC + tail, returning every sample array."""
     n_jobs = 2 if backend != "serial" else 1
     session = Session(
         base_seed=11, tail_budget=200, window=150,
-        options=ExecutionOptions(det_cache_keying=keying, backend=backend,
+        options=ExecutionOptions(det_cache=det_cache, backend=backend,
                                  n_jobs=n_jobs,
                                  replenishment=replenishment))
     try:
@@ -146,81 +141,65 @@ def _session_leg(keying, backend, replenishment):
             after_tail.tail.samples), stats
 
 
-def test_table_keying_cuts_recomputations_and_wallclock():
-    stats, checksums = {}, {}
-    best = {"table": np.inf, "catalog": np.inf}
-    # Interleaved reps: host background-load drift hits both keyings
-    # alike instead of biasing whichever ran first.
+def test_table_keying_splices_appends():
+    best = {"cached": np.inf, "uncached": np.inf}
+    checksums = {}
+    # Interleaved reps: host background-load drift hits both legs alike
+    # instead of biasing whichever ran first.
     for _ in range(REPS):
-        for keying in ("table", "catalog"):
-            run_stats, seconds, run_checksums = _mutation_path(keying)
-            best[keying] = min(best[keying], seconds)
-            stats[keying] = run_stats
-            checksums[keying] = run_checksums
+        for leg, cache in (("cached", SessionDetCache()),
+                           ("uncached", NullDetCache())):
+            seconds, checksums[leg] = _mutation_path(cache)
+            best[leg] = min(best[leg], seconds)
+            if leg == "cached":
+                stats = cache.stats()
 
-    # Same mutation schedule, same query math — the keyings may only
-    # differ in what they recompute, never in what they return.
-    assert checksums["table"] == checksums["catalog"]
-
-    reduction = stats["catalog"]["misses"] / stats["table"]["misses"]
-    speedup = best["catalog"] / best["table"]
-    refreshes = stats["table"]["append_refreshes"]
+    # Same mutation schedule, same query math — the cache may only change
+    # what is recomputed, never what is returned.
+    assert checksums["cached"] == checksums["uncached"]
+    refreshes = stats["append_refreshes"]
 
     body = format_table(
-        ["keying", "mutation-loop s", "misses", "hits",
+        ["leg", "mutation-loop s", "misses", "hits",
          "partial invalidations", "append refreshes"],
-        [[keying, f"{best[keying]:.3f}", stats[keying]["misses"],
-          stats[keying]["hits"], stats[keying]["partial_invalidations"],
-          stats[keying]["append_refreshes"]]
-         for keying in ("table", "catalog")])
-    body += (f"\n\ndet-subtree recomputation reduction: {reduction:.1f}x "
-             f"(gate: >= 5x)"
-             f"\nmutation-path wall-clock speedup: {speedup:.2f}x "
-             f"(gate: >= 2x)")
+        [["session cache", f"{best['cached']:.3f}", stats["misses"],
+          stats["hits"], stats["partial_invalidations"], refreshes],
+         ["det_cache=off", f"{best['uncached']:.3f}", "-", "-", "-", "-"]])
     print_experiment(
-        f"Table-granular det-cache keying vs catalog keying "
+        f"Table-granular det-cache vs no cache "
         f"({LEDGER_ROWS:,}-row ledger join, {ROUNDS} mutation rounds)",
         body)
 
-    record_metric("bench_incremental", "recompute_reduction",
-                  round(reduction, 2), gate=">= 5x")
-    record_metric("bench_incremental", "mutation_wallclock_speedup",
-                  round(speedup, 3), gate=">= 2x")
     record_metric("bench_incremental", "append_refreshes",
                   refreshes, gate=">= 1")
+    record_metric("bench_incremental", "cached_mutation_seconds",
+                  round(best["cached"], 3))
+    record_metric("bench_incremental", "uncached_mutation_seconds",
+                  round(best["uncached"], 3))
 
     assert refreshes >= 1, (
         "the mutation path never exercised an append-splice refresh")
-    assert reduction >= 5.0, (
-        f"table keying only cut det-subtree recomputations "
-        f"{reduction:.1f}x; need >= 5x")
-    assert speedup >= 2.0, (
-        f"table keying only ran the mutation path {speedup:.2f}x faster "
-        f"than catalog keying; need >= 2x")
 
 
-def test_keying_matrix_is_bit_identical():
-    reference, _ = _session_leg("catalog", "serial", "full")
+def test_cache_matrix_is_bit_identical():
+    reference, _ = _session_leg("off", "serial", "full")
     identical = 0
-    legs = [(keying, backend, replenishment)
-            for keying in ("table", "catalog")
+    legs = [(backend, replenishment)
             for backend in ("serial", "process")
             for replenishment in ("delta", "full")]
-    for keying, backend, replenishment in legs:
-        samples, run_stats = _session_leg(keying, backend, replenishment)
+    for backend, replenishment in legs:
+        samples, run_stats = _session_leg("session", backend, replenishment)
         for got, want in zip(samples, reference):
             np.testing.assert_array_equal(got, want, err_msg=(
-                f"keying={keying} backend={backend} "
-                f"replenishment={replenishment}"))
-        if keying == "table":
-            assert run_stats["append_refreshes"] >= 1, (
-                f"backend={backend} replenishment={replenishment} never "
-                f"spliced the mid-session append")
+                f"backend={backend} replenishment={replenishment}"))
+        assert run_stats["append_refreshes"] >= 1, (
+            f"backend={backend} replenishment={replenishment} never "
+            f"spliced the mid-session append")
         identical += 1
 
     print_experiment(
-        "Bit-identity across keying x backend x replenishment",
-        f"{identical}/{len(legs)} legs bit-identical to the coarse-keyed "
+        "Bit-identity across backend x replenishment",
+        f"{identical}/{len(legs)} legs bit-identical to the uncached "
         f"serial reference (each leg spans a mid-session append)")
     record_metric("bench_incremental", "bit_identical_legs",
                   identical, gate=f"== {len(legs)}")
@@ -228,5 +207,5 @@ def test_keying_matrix_is_bit_identical():
 
 
 if __name__ == "__main__":
-    run_benchmark_cli([test_table_keying_cuts_recomputations_and_wallclock,
-                       test_keying_matrix_is_bit_identical])
+    run_benchmark_cli([test_table_keying_splices_appends,
+                       test_cache_matrix_is_bit_identical])

@@ -15,8 +15,8 @@ point is captured by three gates:
 * **wall clock**: the refresh loop must run >= 2x faster than the
   re-execute loop (best of interleaved ``REPS``; both legs see the
   exact same append schedule on identical catalogs);
-* **bit-identity**: on every backend x det_cache_keying leg, the
-  refreshed MC and deep-tail results must be bit-identical to a fresh
+* **bit-identity**: on every backend leg, the refreshed MC and
+  deep-tail results must be bit-identical to a fresh
   session executing the same statements on the grown table — streams
   are pure functions of ``(base_seed, handle, position)``, so
   incrementality is purely an execution-cost optimization.
@@ -153,13 +153,12 @@ SMALL_ROWS = 15
 SMALL_APPEND = {"CID": [15, 16], "m": [3.2, 3.4]}
 
 
-def _matrix_leg(keying, backend):
-    """Standing MC + tail handles through an append, on one option leg."""
+def _matrix_leg(backend):
+    """Standing MC + tail handles through an append, on one backend."""
     n_jobs = 2 if backend != "serial" else 1
     session = Session(
         base_seed=BASE_SEED, tail_budget=200, window=150,
-        options=ExecutionOptions(det_cache_keying=keying, backend=backend,
-                                 n_jobs=n_jobs))
+        options=ExecutionOptions(backend=backend, n_jobs=n_jobs))
     try:
         session.add_table("means", {
             "CID": np.arange(SMALL_ROWS),
@@ -195,14 +194,12 @@ def _fresh_reference():
 
 def test_standing_matrix_is_bit_identical():
     reference = _fresh_reference()
-    legs = [(keying, backend)
-            for keying in ("table", "catalog")
-            for backend in ("serial", "process")]
+    legs = ["serial", "process"]
     identical = 0
     rows = []
-    for keying, backend in legs:
-        samples, modes = _matrix_leg(keying, backend)
-        label = f"keying={keying} backend={backend}"
+    for backend in legs:
+        samples, modes = _matrix_leg(backend)
+        label = f"backend={backend}"
         for got, want in zip(samples[:2], reference[:2]):
             np.testing.assert_array_equal(got, want, err_msg=label)
         assert samples[2] == reference[2], (
@@ -212,12 +209,12 @@ def test_standing_matrix_is_bit_identical():
         # every leg must take the incremental path, not a full rerun.
         assert modes == ("delta", "delta"), f"{label}: modes={modes}"
         identical += 1
-        rows.append([keying, backend, *modes, "=="])
+        rows.append([backend, *modes, "=="])
 
     print_experiment(
         "Standing refresh bit-identity vs fresh session (grown table)",
-        format_table(["keying", "backend", "mc mode", "tail mode",
-                      "vs fresh"], rows))
+        format_table(["backend", "mc mode", "tail mode", "vs fresh"],
+                     rows))
     record_metric("bench_standing", "bit_identical_legs", identical,
                   gate=f"== {len(legs)}")
     assert identical == len(legs)

@@ -14,13 +14,8 @@ fails fast with an ``EngineError`` naming the variable):
   MCDBR_REPLENISHMENT=delta|full          window-refuel strategy
   MCDBR_BACKEND=process|thread|serial     shard transport
   MCDBR_N_JOBS=<n>                        shard workers (1 = no sharding)
-  MCDBR_GIBBS_STATE=worker|broadcast      seed-state placement (stateful
-                                          workers vs snapshot re-ship)
-  MCDBR_STATE_REINIT=delta|full           worker-state fate across a
-                                          replenishment (splice vs re-ship)
-  MCDBR_SPECULATE=1|0                     speculative follow-up prefetch
-  MCDBR_SHM=on|off                        zero-copy shared-memory data
-                                          plane for the process backend
+  MCDBR_SPECULATE_DEPTH=<k>               speculation-chain depth for
+                                          sharded tail queries (0 = off)
 Every combination produces bit-identical output for the same base seed.
 """
 

@@ -116,29 +116,26 @@ class LooperResult:
     delta_replenish_runs: int = 0
     replenish_seconds: float = 0.0
     #: Candidate windows served by backend workers — first windows of a
-    #: sweep (both state modes) plus, under ``gibbs_state="worker"``,
-    #: follow-up windows served from worker-owned state (0 when the run
-    #: was serial, the plan was multi-seed, or the engine was
-    #: ``"reference"``).  Diagnostics only — sharding never changes any
-    #: other field.
+    #: sweep plus follow-up windows served from worker-owned state (0
+    #: when the run was serial, the plan was multi-seed, or the engine
+    #: was ``"reference"``).  Diagnostics only — sharding never changes
+    #: any other field.
     sharded_windows: int = 0
     #: The follow-up share of ``sharded_windows``: windows beyond a
     #: seed's scatter-prefetched first of the sweep, served from the
     #: worker owning that seed's state (rejection-heavy seeds are what
-    #: drive this up).  Always 0 under ``gibbs_state="broadcast"``, whose
-    #: workers are stateless and only ever see the pre-sweep snapshot.
+    #: drive this up).
     followup_windows: int = 0
-    #: Worker-owned-state lifecycle accounting (``gibbs_state="worker"``):
-    #: how often the full shard snapshot shipped (``init_state``) vs. how
-    #: many replenishments kept the workers' state alive with a
-    #: ``state_merge`` splice, and how many never-materialized window
-    #: positions those splices carried in total.  Under
-    #: ``state_reinit="full"`` every replenishment re-ships the snapshot,
-    #: so ``worker_state_merges`` stays 0.
+    #: Worker-owned-state lifecycle accounting: how often the full shard
+    #: snapshot shipped (``init_state``) vs. how many replenishments kept
+    #: the workers' state alive with a ``state_merge`` splice, and how
+    #: many never-materialized window positions those splices carried in
+    #: total.  Refuels that change the tuple structure (and every refuel
+    #: under ``replenishment="full"``) re-ship the snapshot instead.
     worker_state_inits: int = 0
     worker_state_merges: int = 0
     merged_positions: int = 0
-    #: Speculative follow-up prefetch (``speculate_followups``):
+    #: Speculative follow-up prefetch (``speculate_depth > 0``):
     #: ``speculated_windows`` counts follow-up windows resolved from the
     #: speculation buffer — no blocking state call — and
     #: ``wasted_speculations`` the pre-computed windows discarded because
@@ -146,13 +143,11 @@ class LooperResult:
     #: before use.  Diagnostics only; speculation never changes samples.
     speculated_windows: int = 0
     wasted_speculations: int = 0
-    #: K-deep chain accounting (``speculate_depth``/``sweep_order``):
-    #: ``speculation_chain_depth`` is the longest successor chain any
-    #: owner piggybacked on a reply this run, and
-    #: ``batched_notifications`` how many commit notifications rode a
-    #: flushed ``apply_batch`` message instead of their own cast
-    #: (``sweep_order="adaptive"`` only).  Diagnostics only — like every
-    #: transport knob, neither ever changes the samples.
+    #: K-deep chain accounting: ``speculation_chain_depth`` is the
+    #: longest successor chain any owner piggybacked on a reply this run,
+    #: and ``batched_notifications`` how many commit notifications rode a
+    #: flushed ``apply_batch`` message instead of their own cast.
+    #: Diagnostics only — neither ever changes the samples.
     speculation_chain_depth: int = 0
     batched_notifications: int = 0
 
@@ -251,69 +246,21 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
     return delta_sum, delta_count, cand_values, cand_present
 
 
-@dataclass
-class _SeedWindowTask:
-    """One seed's first-window inputs, frozen at sweep start."""
-
-    handle: int
-    start: int
-    stop: int
-    count: int
-    tuples: list[GibbsTuple]
-    states: list[_TupleState]
-
-
-@dataclass
-class _WindowPrefetchJob:
-    """Seed-axis shard job: first candidate windows for a handle range.
+class GibbsSeedShard:
+    """Worker-owned seed state: one contiguous TS-seed handle range.
 
     The Gibbs sweep is a Gauss–Seidel pass — each seed's accept/reject
     thresholds consult the *running* totals, so commits are inherently
     sequential in handle order.  What is NOT sequential, on plans whose
     Gibbs tuples carry a single seed handle each, is the expensive part:
-    a seed's first candidate window of a sweep depends only on that
-    seed's own tuples, windows and consumption pointer, all frozen since
-    the sweep began.  Workers therefore evaluate the delta matrices for
-    disjoint handle ranges in parallel, and the looper replays the
-    sequential scan/commit over them in ascending handle order — merging
-    in handle order is what keeps every shard geometry bit-identical to
-    the serial sweep.
-
-    Transport economics: the tuple/state snapshot changes every sweep
-    (commits mutate it), so under the process backend the job is pickled
-    per sweep — unlike the Monte Carlo executor there is no cross-sweep
-    payload for the keyed shared channel to amortize.  This is the
-    ``gibbs_state="broadcast"`` path, kept as the stateless baseline the
-    transport benchmark compares against; the default
-    ``gibbs_state="worker"`` ships the snapshot once via
-    :class:`GibbsSeedShard` and replaces the per-sweep re-ship with
-    commit notifications.
-    """
-
-    tasks: list[_SeedWindowTask]
-    aggregate_expr: Expr | None
-    final_predicate: Expr | None
-
-    def run_shard(self, lo: int, hi: int) -> list:
-        out = []
-        for task in self.tasks[lo:hi]:
-            matrices = candidate_window_matrices(
-                task.tuples, task.states, task.handle,
-                self.aggregate_expr, self.final_predicate,
-                0, task.count, task.start, task.stop)
-            out.append((task.handle, task.start, task.stop, task.count,
-                        matrices))
-        return out
-
-
-class GibbsSeedShard:
-    """Worker-owned seed state: one contiguous TS-seed handle range.
-
-    The stateful counterpart of :class:`_WindowPrefetchJob` — instead of
-    re-shipping the mutating tuple/state snapshot every sweep, this
-    object is shipped to its owning backend worker **once**
-    (``ExecutionBackend.init_state``) and kept in sync through small
-    notifications for the rest of its life:
+    a seed's candidate windows depend only on that seed's own tuples,
+    windows and consumption pointer.  Workers therefore evaluate windows
+    for disjoint handle ranges in parallel, and the looper replays the
+    sequential scan/commit over them in ascending handle order — which
+    is what keeps every shard geometry bit-identical to the serial
+    sweep.  The mutating tuple/state snapshot is shipped to its owning
+    backend worker **once** (``ExecutionBackend.init_state``) and kept
+    in sync through small notifications for the rest of its life:
 
     * ``serve_window(s)`` — evaluate candidate windows (first windows of
       a sweep via scatter, follow-up windows for rejection-heavy seeds
@@ -338,22 +285,22 @@ class GibbsSeedShard:
 
     Two later protocol extensions ride on the same three events:
 
-    * ``apply_merge`` — the delta state re-init
-      (``state_reinit="delta"``): after a structure-preserving delta
-      replenishment, the sweep ships each owner a per-handle splice
-      record — the new window length, the old->new keep mapping and
-      *only* the never-materialized positions' values — and the owner
-      rebuilds its window arrays in place while every per-version cache
-      carries over untouched (stream values at kept positions cannot
-      change; they are pure functions of position).  This is the
-      worker-side mirror of the parent's ``replenishment="delta"`` fast
-      path, and it replaces the discard + full snapshot re-ship.
-    * Speculative follow-up serving (``speculate_followups`` +
-      ``speculate_depth``): serve requests carry the seed's notification
-      epoch, and the owner pre-computes a **chain** of successor windows
-      — the requests the sweep will send next under continued rejection,
-      each the successor of the one before it — and piggybacks the whole
-      chain on the reply.  Chain length adapts per seed to the
+    * ``apply_merge`` — the delta state re-init: after a
+      structure-preserving delta replenishment, the sweep ships each
+      owner a per-handle splice record — the new window length, the
+      old->new keep mapping and *only* the never-materialized
+      positions' values — and the owner rebuilds its window arrays in
+      place while every per-version cache carries over untouched
+      (stream values at kept positions cannot change; they are pure
+      functions of position).  This is the worker-side mirror of the
+      parent's ``replenishment="delta"`` fast path, and it replaces the
+      discard + full snapshot re-ship.
+    * Speculative follow-up serving (``speculate_depth > 0``): serve
+      requests carry the seed's notification epoch, and the owner
+      pre-computes a **chain** of successor windows — the requests the
+      sweep will send next under continued rejection, each the
+      successor of the one before it — and piggybacks the whole chain
+      on the reply.  Chain length adapts per seed to the
       acceptance pressure the owner already tracks (``_chain_depth``):
       hot low-acceptance seeds get deep chains, seeds above the 1/8
       acceptance threshold get none.  An entry is only ever consumed
@@ -371,11 +318,11 @@ class GibbsSeedShard:
     reach the looper only through a new query or a replenishment.
 
     Transport note: under the process backend's zero-copy data plane
-    (``shm="on"``) the snapshot's bulk arrays arrive in the owner as
-    *writable* views over a parent-owned shared-memory segment rather
-    than private unpickled copies.  That is safe precisely because of
-    the ownership story above — the segment copy belongs to this one
-    owner, the parent never reads it back, and every mutation
+    (:mod:`repro.engine.shm`) the snapshot's bulk arrays arrive in the
+    owner as *writable* views over a parent-owned shared-memory segment
+    rather than private unpickled copies.  That is safe precisely
+    because of the ownership story above — the segment copy belongs to
+    this one owner, the parent never reads it back, and every mutation
     (``apply_commit``/``apply_clone``/``apply_merge``) already happens
     in place; the segment is unlinked when the state is discarded.
     """
@@ -391,7 +338,7 @@ class GibbsSeedShard:
         #: Chain-length cap (the ``speculate_depth`` knob); the actual
         #: per-seed depth adapts below it, see ``_chain_depth``.
         self.speculate_depth = speculate_depth
-        #: Adaptive sweep scheduling (``sweep_order="adaptive"``): lets
+        #: Adaptive sweep scheduling (the looper always sets it): lets
         #: ``_chain_depth`` fall back to the *previous* perturbation
         #: call's acceptance counters right after a cursor reset, so hot
         #: seeds' chains are already warm on the sweep-start scatter.
@@ -707,14 +654,14 @@ class GibbsSeedShard:
     def apply_batch(self, ops: list) -> None:
         """Apply a flushed buffer of commit notifications, in issue order.
 
-        Adaptive sweep scheduling (``sweep_order="adaptive"``) buffers
-        ``apply_commit`` casts looper-side and flushes a whole sweep
-        segment's worth as one message right before anything that
-        depends on the mirrored state — a blocking serve, the next
-        scatter, a merge, a clone, the discard drain.  In-order dispatch
-        through ``getattr`` makes the batch observationally identical to
-        the casts having been sent one by one, including for white-box
-        suites that spy on the individual methods.
+        Adaptive sweep scheduling buffers ``apply_commit`` casts
+        looper-side and flushes a whole sweep segment's worth as one
+        message right before anything that depends on the mirrored state
+        — a blocking serve, the next scatter, a merge, a clone, the
+        discard drain.  In-order dispatch through ``getattr`` makes the
+        batch observationally identical to the casts having been sent
+        one by one, including for white-box suites that spy on the
+        individual methods.
         """
         for method, args in ops:
             getattr(self, method)(*args)
@@ -745,10 +692,9 @@ class GibbsLooper:
         (``"vectorized"``, default) and the scalar per-version path
         (``"reference"``); ``n_jobs > 1`` shards the seed axis of the
         vectorized kernel's candidate-window evaluation across backend
-        workers — stateful workers owning their handle ranges under
-        ``gibbs_state="worker"`` (the default; commit-notification
-        transport, follow-up windows served too) or stateless snapshot
-        broadcast under ``"broadcast"``; ``window_growth > 1`` grows the
+        workers, each owning its handle range's state for the query
+        (:class:`GibbsSeedShard`: commit-notification transport,
+        follow-up windows served too); ``window_growth > 1`` grows the
         refuel window geometrically after each replenishment.  Every
         combination produces bit-identical samples for the same
         ``base_seed`` — the contract tested by
@@ -823,9 +769,9 @@ class GibbsLooper:
         self._sharded_windows = 0
         self._followup_windows = 0
         self._owned_backend = None
-        # Worker-owned seed state (gibbs_state="worker"): the backend
-        # token, the handle -> shard ownership map, which shards still owe
-        # a scattered first-window reply, and the collected-but-unconsumed
+        # Worker-owned seed state (sharded sweeps): the backend token, the
+        # handle -> shard ownership map, which shards still owe a
+        # scattered first-window reply, and the collected-but-unconsumed
         # windows.  All reset by _discard_worker_state().
         self._state_token: int | None = None
         self._shard_of_handle: dict[int, int] = {}
@@ -855,9 +801,9 @@ class GibbsLooper:
         self._speculated_windows = 0
         self._wasted_speculations = 0
         self._speculation_chain_depth = 0
-        # Adaptive sweep scheduling (sweep_order="adaptive"): per-shard
-        # buffers of unsent commit notifications (flushed before any
-        # message that reads the shard's mirror) and the looper-side
+        # Adaptive sweep scheduling: per-shard buffers of unsent commit
+        # notifications (flushed before any message that reads the
+        # shard's mirror) and the looper-side
         # acceptance-pressure record that orders scatter requests
         # hottest-first.  Both pure transport: neither moves the
         # Gauss-Seidel seed visit order, which stays ascending-handle.
@@ -1275,52 +1221,13 @@ class GibbsLooper:
             self._owned_backend = make_backend(self.options)
         return self._owned_backend
 
-    def _prefetch_first_windows(self) -> dict:
-        """Seed-axis sharding: evaluate first candidate windows in parallel.
-
-        Partitions the TS-seed handles (ascending) into
-        ``options.shard_bounds`` ranges and has backend workers evaluate
-        each seed's first window of the sweep.  Applies only when Gibbs
-        tuples are single-seed — then a seed's window depends on no other
-        seed's in-sweep commits, so the pre-sweep snapshot the workers
-        read is exactly what the serial path would read.  The sweep
-        itself stays sequential in handle order (the acceptance totals
-        are Gauss–Seidel state), which is why any shard geometry merges
-        back bit-identical.  Dry seeds are skipped — the sweep replenishes
-        when it reaches them, discarding all prefetches anyway.
-        """
-        options = self.options
-        if (options.n_jobs <= 1 or options.engine != "vectorized"
-                or not self._single_seed or len(self._tuples_of_seed) < 2):
-            return {}
-        tasks = []
-        for handle, _, count, start, stop in self._first_window_requests():
-            affected = self._tuples_of_seed[handle]
-            tasks.append(_SeedWindowTask(
-                handle, start, stop, count,
-                [self._tuples[index] for index in affected],
-                [self._states[index] for index in affected]))
-        if len(tasks) < 2:
-            return {}
-        bounds = options.shard_bounds(len(tasks))
-        if len(bounds) == 1:
-            return {}
-        job = _WindowPrefetchJob(tasks, self.aggregate_expr,
-                                 self.final_predicate)
-        prefetched = {}
-        for shard in self._ensure_backend().run_job(job, bounds):
-            for handle, start, stop, count, matrices in shard:
-                prefetched[handle] = (start, stop, count, matrices)
-        return prefetched
-
     def _first_window_requests(self) -> list[tuple]:
         """``(handle, first_version, count, start, stop)`` for every
         non-dry seed's first window of the sweep.
 
-        The one place this geometry is derived: both sharded state
-        placements consume it, and it reproduces exactly what the serial
-        path's first ``_window_geometry`` call per seed would build —
-        which is what makes a prefetched/served first window
+        The one place this geometry is derived: it reproduces exactly
+        what the serial path's first ``_window_geometry`` call per seed
+        would build — which is what makes a worker-served first window
         interchangeable with a locally built one.  Dry seeds are skipped:
         the sweep replenishes when it reaches them, discarding every
         prefetch anyway.
@@ -1336,20 +1243,19 @@ class GibbsLooper:
             requests.append((handle, 0, count, start, start + width))
         return requests
 
-    # -- worker-owned seed state (gibbs_state="worker") -----------------------
+    # -- worker-owned seed state ----------------------------------------------
 
     def _worker_state_enabled(self) -> bool:
-        """Stateful sharding preconditions, re-checked every sweep.
+        """Seed-axis sharding preconditions, re-checked every sweep.
 
-        Same gate as the broadcast prefetch — vectorized engine,
-        single-seed tuples, at least two seeds split into at least two
-        shard ranges — plus the knob itself.  Multi-seed plans keep the
-        serial fallback either way.
+        Vectorized engine, single-seed tuples (then a seed's windows
+        depend on no other seed's in-sweep commits), at least two seeds
+        split into at least two shard ranges.  Multi-seed plans keep the
+        serial sweep.
         """
         options = self.options
-        if (options.gibbs_state != "worker" or options.n_jobs <= 1
-                or options.engine != "vectorized" or not self._single_seed
-                or len(self._tuples_of_seed) < 2):
+        if (options.n_jobs <= 1 or options.engine != "vectorized"
+                or not self._single_seed or len(self._tuples_of_seed) < 2):
             return False
         return len(options.shard_bounds(len(self._tuples_of_seed))) > 1
 
@@ -1365,13 +1271,12 @@ class GibbsLooper:
         """
         backend = self._ensure_backend()
         handles = sorted(self._tuples_of_seed)
-        # Speculation needs the owners to see the notification stream
-        # (commits/notes drive their bookkeeping); the thread transport
-        # elides casts by design — its "owner" is the caller's own
-        # objects and calls run inline, so there is no latency to hide —
-        # and therefore never speculates.
-        speculate = (self.options.speculate_followups
-                     and backend.state_casts_apply())
+        # Speculation and commit batching need the owners to see the
+        # notification stream (commits/notes drive their bookkeeping);
+        # the thread transport elides casts by design — its "owner" is
+        # the caller's own objects and calls run inline, so there is no
+        # latency to hide and nothing to coalesce.
+        casts_apply = backend.state_casts_apply()
         if self._state_token is None:
             bounds = self.options.shard_bounds(len(handles))
             limit = backend.state_shard_limit()
@@ -1395,18 +1300,14 @@ class GibbsLooper:
                     shard_of[handle] = shard
                 payloads.append(GibbsSeedShard(
                     seeds, self.aggregate_expr, self.final_predicate,
-                    speculate=speculate,
+                    speculate=casts_apply,
                     speculate_depth=self.options.speculate_depth,
-                    adaptive=self.options.sweep_order == "adaptive"))
+                    adaptive=True))
             self._state_token = backend.init_state(payloads)
             self._shard_of_handle = shard_of
             self._state_shard_count = len(bounds)
             self._worker_state_inits += 1
-        # Commit batching rides the same transport condition as
-        # speculation: the thread backend's casts are elided no-ops, so
-        # there is nothing to coalesce.
-        self._batch_casts = (self.options.sweep_order == "adaptive"
-                             and backend.state_casts_apply())
+        self._batch_casts = casts_apply
         if len(self._pending_casts) != self._state_shard_count:
             self._pending_casts = [
                 [] for _ in range(self._state_shard_count)]
@@ -1420,17 +1321,16 @@ class GibbsLooper:
             requests[self._shard_of_handle[handle]].append(
                 (handle, first_version, count, start, stop,
                  self._spec_epoch.get(handle, 0)))
-        if self.options.sweep_order == "adaptive":
-            # Serve hot (rejection-heavy) seeds first within each shard:
-            # their first windows — and, with warm chains, their whole
-            # opening streaks — are ready when the sequential
-            # Gauss-Seidel consumer reaches them.  Pure request-list
-            # ordering: replies are keyed by handle and each request is
-            # served independently, so the sweep's ascending-handle
-            # visit order (the bit-identity contract) is untouched.
-            for shard_requests in requests:
-                shard_requests.sort(key=lambda request: (
-                    -self._seed_pressure.get(request[0], 0), request[0]))
+        # Serve hot (rejection-heavy) seeds first within each shard: their
+        # first windows — and, with warm chains, their whole opening
+        # streaks — are ready when the sequential Gauss-Seidel consumer
+        # reaches them.  Pure request-list ordering: replies are keyed by
+        # handle and each request is served independently, so the
+        # sweep's ascending-handle visit order (the bit-identity
+        # contract) is untouched.
+        for shard_requests in requests:
+            shard_requests.sort(key=lambda request: (
+                -self._seed_pressure.get(request[0], 0), request[0]))
         # The previous sweep's tail of buffered commits must land before
         # the scatter reads the mirrors it mutates.
         self._flush_casts()
@@ -1503,10 +1403,10 @@ class GibbsLooper:
         """Delta state re-init: splice the refuel into the live shards.
 
         Called right after a structure-preserving delta replenishment
-        (``_refresh_windows`` path) with the pre-refuel position vectors.
-        First drains every uncollected scatter reply and drops every
-        prefetched/speculated window — all of them index into the
-        pre-refuel window geometry — then ships each owning worker one
+        (``_refresh_windows`` path) with the pre-refuel position vectors,
+        after ``_replenish`` drained every uncollected scatter reply.
+        Drops every speculated window — they index into the pre-refuel
+        window geometry — then ships each owning worker one
         ``state_merge`` with the per-handle splice records built by
         :meth:`_merge_record`.  FIFO ordering lands the merge before any
         later message of this state, so by the next sweep's scatter the
@@ -1516,10 +1416,6 @@ class GibbsLooper:
         commits keep notifying the mirrors.
         """
         backend = self._ensure_backend()
-        for shard in sorted(self._scatter_pending):
-            backend.state_collect(self._state_token, shard)  # stale
-        self._scatter_pending = set()
-        self._prefetched_windows = {}
         self._invalidate_speculations()
         # Buffered commits index into the pre-refuel window geometry —
         # they must land before the merge re-shapes the mirrors.
@@ -1630,10 +1526,10 @@ class GibbsLooper:
         self._speculated = {}
 
     def _cast_commit(self, shard: int, *args) -> None:
-        """Send — or, under adaptive scheduling, buffer — one commit.
+        """Send — or, where casts apply, buffer — one commit.
 
-        ``sweep_order="adaptive"`` coalesces commit notifications per
-        shard into a single ``apply_batch`` cast, flushed right before
+        Adaptive scheduling coalesces commit notifications per shard
+        into a single ``apply_batch`` cast, flushed right before
         the next message that reads the shard's mirror (a blocking
         serve, the next scatter, a merge, a clone, the discard drain):
         fewer, fatter messages on the process transport, with the
@@ -1674,11 +1570,9 @@ class GibbsLooper:
     def _perturb_all_seeds(self, cutoff: float, stats: GibbsStats) -> None:
         """One systematic Gibbs step over every seed, seed-major (Sec. 7)."""
         if self._worker_state_enabled():
-            self._begin_worker_sweep()
-            prefetched = None  # served lazily via _take_prefetched
+            self._begin_worker_sweep()  # first windows served lazily
         else:
-            self._discard_worker_state()  # mode/plan shape may have changed
-            prefetched = self._prefetch_first_windows()
+            self._discard_worker_state()  # plan shape may have changed
         queue = self._build_queue(resume_after=None)
         while queue and queue[0][0] != _INFINITY_KEY:
             handle = queue[0][0]
@@ -1686,23 +1580,16 @@ class GibbsLooper:
             while queue and queue[0][0] == handle:
                 members.append(heapq.heappop(queue)[1])
             self._replenished_flag = False
-            if prefetched is None:
-                prefetch = self._take_prefetched(handle)
-            else:
-                prefetch = prefetched.pop(handle, None)
-            self._perturb_seed(handle, cutoff, stats, prefetch)
+            self._perturb_seed(handle, cutoff, stats,
+                               self._take_prefetched(handle))
             if self._replenished_flag:
                 # The Gibbs tuples were rebuilt or re-windowed; empty the
-                # queue and rebuild it for the remaining handles (Sec. 9),
-                # and drop the prefetched windows — they index into the
-                # pre-refuel window views.  (_replenish either discarded
-                # the worker-owned state — _take_prefetched then yields
-                # None and the rest of this sweep builds windows locally,
-                # with a full re-init next sweep — or spliced the refuel
-                # into the live shards, in which case the remaining
-                # handles' windows are served straight from the merged
-                # worker state.)
-                prefetched = {} if prefetched is not None else None
+                # queue and rebuild it for the remaining handles (Sec. 9).
+                # _replenish dropped every scattered window (they index
+                # into the pre-refuel window views) and either discarded
+                # the worker-owned state — the rest of this sweep builds
+                # windows locally, with a full re-init next sweep — or
+                # spliced the refuel into the live shards.
                 queue = self._build_queue(resume_after=handle)
                 continue
             for index in members:
@@ -2171,20 +2058,26 @@ class GibbsLooper:
         window (the context tracks which refuels were full vs. delta).
         """
         started = time.perf_counter()
-        # Worker-state fate.  state_reinit="full" (or a stateless run)
-        # keeps the PR-4 behavior: invalidate up front, run the rest of
-        # the sweep locally, re-ship the snapshot next sweep.  Under
-        # state_reinit="delta" the state *survives* a delta refuel: if
-        # the re-run preserves the tuple structure, each owner receives
-        # one state_merge splice (never-materialized values only), the
-        # rest of the current sweep runs locally against live mirrors,
-        # and the next sweep's scatter resumes worker serving with no
-        # snapshot re-ship.
+        # Worker-state fate.  The state *survives* a delta refuel: if the
+        # re-run preserves the tuple structure, each owner receives one
+        # state_merge splice (never-materialized values only), the rest
+        # of the current sweep runs locally against live mirrors, and the
+        # next sweep's scatter resumes worker serving with no snapshot
+        # re-ship.  A full refuel rebuilds the tuples, so the state is
+        # discarded up front and re-shipped next sweep.
         keep_state = (self._state_token is not None
-                      and self.options.state_reinit == "delta"
                       and self.options.replenishment == "delta")
         old_positions = None
         if keep_state:
+            # Collect (and drop) the sweep's uncollected first windows
+            # before the re-run: they index into the pre-refuel windows,
+            # and on the thread transport they are still being computed
+            # from the very arrays the refresh below splices in place.
+            for shard in sorted(self._scatter_pending):
+                self._ensure_backend().state_collect(self._state_token,
+                                                     shard)
+            self._scatter_pending = set()
+            self._prefetched_windows = {}
             old_positions = {handle: ts.positions
                              for handle, ts in self._seeds.items()}
         else:

@@ -606,8 +606,7 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, n_workers: int, use_shm: bool = True,
-                 join_timeout: float | None = None):
+    def __init__(self, n_workers: int, join_timeout: float | None = None):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if join_timeout is not None and not join_timeout > 0:
@@ -630,9 +629,10 @@ class ProcessBackend(ExecutionBackend):
         self._replies: dict[int, object] = {}        # stashed out-of-order
         # Zero-copy data plane: bulk arrays in shared-channel, state-init
         # and state-merge payloads are placed in parent-owned shared
-        # memory and shipped as descriptors (repro.engine.shm).  None =
-        # opted out (MCDBR_SHM=off) — every payload pickles whole.
-        self._shm: ShmBlockStore | None = ShmBlockStore() if use_shm else None
+        # memory and shipped as descriptors (repro.engine.shm); the store
+        # itself falls back to whole-payload pickling on hosts where
+        # segment allocation fails.
+        self._shm = ShmBlockStore()
         self._state_segments: dict[int, list[str]] = {}  # token -> segments
         #: Transport accounting, exposed for the scaling benchmark and the
         #: payload regression tests: ``jobs``/``tasks`` count dispatches,
@@ -680,13 +680,13 @@ class ProcessBackend(ExecutionBackend):
 
     @property
     def shm_enabled(self) -> bool:
-        """Whether the zero-copy data plane is on *and* usable here."""
-        return self._shm is not None and self._shm.available
+        """Whether the zero-copy data plane is usable on this host."""
+        return self._shm.available
 
     @property
     def shm_live_segments(self) -> int:
         """Live (not yet unlinked) segments owned by this backend."""
-        return 0 if self._shm is None else self._shm.live_segments
+        return self._shm.live_segments
 
     def worker_pids(self) -> list[int]:
         return [worker.process.pid for worker in self._workers]
@@ -742,8 +742,7 @@ class ProcessBackend(ExecutionBackend):
         # the pages free immediately; the store itself stays usable for a
         # lazily respawned pool.
         self._state_segments = {}
-        if self._shm is not None:
-            self._shm.close()
+        self._shm.close()
 
     # -- transport -----------------------------------------------------------
 
@@ -761,12 +760,9 @@ class ProcessBackend(ExecutionBackend):
 
         Returns ``(blob, segment_name, array_bytes)``; the segment is
         ``None`` (plain pickle, zero hoisted bytes) when the data plane
-        is opted out, unavailable on this host, or the payload holds no
-        array worth a segment.
+        is unavailable on this host or the payload holds no array worth
+        a segment.
         """
-        if self._shm is None:
-            return (pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL),
-                    None, 0)
         blob, segment, array_bytes = self._shm.dumps(obj, writeable=writeable)
         if segment is not None:
             self.stats["shm_segments"] += 1
@@ -1109,9 +1105,8 @@ class ProcessBackend(ExecutionBackend):
         # died, close() already unlinked everything (release is
         # idempotent).  Unlink-while-mapped only removes the name; any
         # worker still holding views keeps its pages.
-        if self._shm is not None:
-            for segment in segments:
-                self._shm.release(segment)
+        for segment in segments:
+            self._shm.release(segment)
         for ticket in stale:
             self._replies.pop(ticket, None)
         if failure is not None:
@@ -1222,6 +1217,5 @@ def make_backend(options) -> ExecutionBackend:
     if options.backend == "process":
         return ProcessBackend(
             options.n_jobs,
-            use_shm=getattr(options, "shm", "on") == "on",
             join_timeout=getattr(options, "join_timeout", None))
     raise ValueError(f"unknown backend {options.backend!r}")

@@ -14,20 +14,15 @@ query; this module generalizes it into pluggable tiers:
   *structural fingerprint* of the plan subtree
   (:meth:`~repro.engine.operators.PlanNode.fingerprint`), so a freshly
   compiled plan hits the entries an earlier, structurally identical plan
-  populated.  Validity is governed by ``keying``:
-
-  - ``"table"`` (default) records each entry's dependency set
-    (:meth:`~repro.engine.operators.PlanNode.base_tables`) together with
-    the per-name catalog versions it was filled under.  A lookup drops
-    only entries whose dependencies actually moved — queries over
-    disjoint tables survive each other's DDL — and when every moved
-    dependency grew *append-only* (per the catalog's append journal) the
-    entry is refreshed in place by splicing just the new rows
-    (:func:`~repro.engine.operators.refresh_after_append`) instead of
-    being recomputed.
-  - ``"catalog"`` reproduces the original coarse protocol bit-for-bit:
-    any catalog mutation (tracked by the global ``Catalog.version``)
-    drops every entry.
+  populated.  Each entry records its dependency set
+  (:meth:`~repro.engine.operators.PlanNode.base_tables`) together with
+  the per-name catalog versions it was filled under.  A lookup drops
+  only entries whose dependencies actually moved — queries over
+  disjoint tables survive each other's DDL — and when every moved
+  dependency grew *append-only* (per the catalog's append journal) the
+  entry is refreshed in place by splicing just the new rows
+  (:func:`~repro.engine.operators.refresh_after_append`) instead of
+  being recomputed.
 * :class:`NullDetCache` — caching disabled (``det_cache="off"``); every
   deterministic subtree re-runs on every plan execution.
 
@@ -39,10 +34,8 @@ disagrees with the requesting context it is re-stamped (copied with new
 
 from __future__ import annotations
 
-from repro.engine.options import DET_CACHE_KEYINGS
-
 __all__ = ["ContextDetCache", "SessionDetCache", "NullDetCache",
-           "make_det_cache", "classify_moves", "DET_CACHE_KEYINGS"]
+           "make_det_cache", "classify_moves"]
 
 
 def classify_moves(catalog, versions):
@@ -104,8 +97,7 @@ class _CacheEntry:
 
     ``versions`` maps each dependency name (lowercased, from
     ``PlanNode.base_tables()``) to the catalog's per-name version when
-    the entry was stored — the granularity the ``"table"`` keying
-    validates against.
+    the entry was stored — the granularity lookups validate against.
     """
 
     __slots__ = ("relation", "versions")
@@ -121,28 +113,20 @@ class SessionDetCache:
     The fingerprint identifies *what* a deterministic subtree computes
     (operator types, tables, predicates, column lists); the recorded
     catalog versions identify what the referenced tables *contained*.
-    Under ``keying="table"`` each entry is checked against only the
-    per-name versions of its own dependency set, and append-only growth
-    is spliced in instead of recomputed; ``keying="catalog"`` keeps the
-    original whole-cache drop on any mutation.
+    Each entry is checked against only the per-name versions of its own
+    dependency set, and append-only growth is spliced in instead of
+    recomputed.
     """
 
-    def __init__(self, keying: str = "table"):
-        if keying not in DET_CACHE_KEYINGS:
-            raise ValueError(
-                f"unknown det-cache keying {keying!r}; "
-                f"supported: {DET_CACHE_KEYINGS}")
-        self.keying = keying
+    def __init__(self):
         self._entries: dict[str, _CacheEntry] = {}
-        self._catalog_version: int | None = None
         self._catalog_uid: int | None = None
         self.hits = 0
         self.misses = 0
-        #: Whole-cache drops (catalog swapped, or any mutation under
-        #: ``keying="catalog"``).
+        #: Whole-cache drops (a different catalog object entirely).
         self.invalidations = 0
         #: Single entries dropped because their own dependencies moved
-        #: non-append-only (``keying="table"``).
+        #: non-append-only.
         self.partial_invalidations = 0
         #: Entries refreshed in place by splicing appended rows.
         self.append_refreshes = 0
@@ -155,21 +139,13 @@ class SessionDetCache:
             if self._entries:
                 self.invalidations += 1
             self._entries.clear()
-            self._catalog_version = None
             self._catalog_uid = catalog.uid
-        if self.keying == "catalog":
-            version = catalog.version
-            if self._catalog_version != version:
-                if self._entries:
-                    self.invalidations += 1
-                self._entries.clear()
-                self._catalog_version = version
 
     def lookup(self, node, context):
         self._sync_catalog(context)
         fingerprint = node.fingerprint()
         entry = self._entries.get(fingerprint)
-        if entry is not None and self.keying == "table":
+        if entry is not None:
             entry = self._validate(fingerprint, entry, node, context)
         if entry is None:
             self.misses += 1
@@ -236,7 +212,6 @@ class SessionDetCache:
     def stats(self) -> dict:
         """Counter snapshot (the ``Session.cache_stats()`` payload)."""
         return {
-            "keying": self.keying,
             "entries": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,
@@ -247,7 +222,6 @@ class SessionDetCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._catalog_version = None
         self._catalog_uid = None
 
     def __len__(self) -> int:

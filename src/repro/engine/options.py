@@ -25,13 +25,14 @@ enforced by ``tests/test_engine_equivalence.py``.
 * ``backend`` selects *where* shards run
   (:mod:`repro.engine.backends`): ``"process"`` (persistent worker pool,
   broadcast-once job transport), ``"thread"``, or ``"serial"`` (the
-  sharded code paths without any concurrency).
+  sharded code paths without any concurrency).  Sharded tail queries pin
+  each TS-seed handle range's tuples/states on its owning worker across
+  sweeps (:class:`~repro.core.gibbs_looper.GibbsSeedShard`).
 
-* ``gibbs_state`` selects where the tail path's seed state *lives*:
-  ``"worker"`` (default) pins each handle range's tuples/states on its
-  owning worker across sweeps — commit notifications instead of per-sweep
-  snapshot re-ships, follow-up windows served by the owner — while
-  ``"broadcast"`` keeps the stateless snapshot-per-sweep transport.
+The class defaults are plain literals: constructing
+:class:`ExecutionOptions` never consults the environment.
+:meth:`ExecutionOptions.from_env` is the one place ``MCDBR_*`` variables
+are read.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ from dataclasses import dataclass, fields
 from repro.engine.errors import EngineError
 
 __all__ = ["ENGINES", "BACKENDS", "REPLENISHMENT_MODES", "DET_CACHE_MODES",
-           "DET_CACHE_KEYINGS", "GIBBS_STATE_MODES", "STATE_REINIT_MODES",
-           "SHM_MODES", "SWEEP_ORDERS", "ExecutionOptions", "ServerOptions",
-           "env_choice", "env_int", "env_float", "env_bool"]
+           "ExecutionOptions", "ServerOptions", "env_choice", "env_int",
+           "env_float", "env_bool"]
 
 #: Supported Gibbs perturbation kernels.
 ENGINES = ("vectorized", "reference")
@@ -63,59 +63,11 @@ REPLENISHMENT_MODES = ("delta", "full")
 
 #: Deterministic sub-plan cache tiers.  ``"session"`` shares materialized
 #: deterministic relations across queries (keyed by structural plan
-#: fingerprint, invalidated on catalog mutation); ``"context"`` scopes the
+#: fingerprint, validated against the versions of the tables each entry
+#: scans — see :mod:`repro.engine.det_cache`); ``"context"`` scopes the
 #: cache to one plan execution context (the seed behavior); ``"off"``
 #: disables caching entirely.
 DET_CACHE_MODES = ("session", "context", "off")
-
-#: Session det-cache invalidation granularity.  ``"table"`` (default)
-#: keys each entry by the base/random tables its subtree actually scans
-#: (``PlanNode.base_tables()``) and their per-name catalog versions:
-#: mutating table A leaves entries scanning only B untouched, and
-#: append-only growth (``Catalog.append``) splices the new rows into the
-#: cached relation instead of recomputing.  ``"catalog"`` reproduces the
-#: coarse protocol bit-for-bit: any catalog mutation drops every entry.
-DET_CACHE_KEYINGS = ("table", "catalog")
-
-#: Gibbs seed-axis state placement.  ``"worker"`` (default) makes backend
-#: workers *stateful*: each owns the tuples/states of its TS-seed handle
-#: range across sweeps, receives only per-commit notifications, and
-#: serves follow-up windows for rejection-heavy seeds.  ``"broadcast"``
-#: keeps the stateless PR-3 transport (the pre-sweep snapshot shipped
-#: whole, first windows only), retained as the comparison baseline.
-GIBBS_STATE_MODES = ("worker", "broadcast")
-
-#: Worker-state re-initialization after a replenishment (tail path,
-#: ``gibbs_state="worker"`` only).  ``"delta"`` keeps the worker-owned
-#: shards alive across a structure-preserving delta replenishment and
-#: ships each owner only the merged never-materialized window values (a
-#: ``state_merge`` splice); ``"full"`` discards the state and re-ships
-#: the whole shard snapshot on the next sweep (the PR-4 behavior, kept
-#: as the comparison baseline).  Bit-identical either way.
-STATE_REINIT_MODES = ("delta", "full")
-
-#: Sweep scheduling for worker-owned Gibbs state (tail path,
-#: ``gibbs_state="worker"`` only).  ``"adaptive"`` (default) batches
-#: commit/note notifications per sweep segment — buffered per shard and
-#: flushed as one message right before any send that depends on them —
-#: and orders each shard's sweep-start scatter hottest-seed-first, so
-#: owners build the rejection-heavy seeds' speculation chains while the
-#: sequential Gauss–Seidel consumer is still sweeping earlier seeds.
-#: ``"natural"`` casts every notification immediately and scatters in
-#: ascending handle order (the PR-5 behavior).  The *commit sequence*
-#: per seed is identical either way (flush-before-dependent-send keeps
-#: every mirror current before it serves), so results are bit-identical.
-SWEEP_ORDERS = ("adaptive", "natural")
-
-#: Zero-copy shared-memory data plane for ``backend="process"``
-#: (:mod:`repro.engine.shm`).  ``"on"`` (default) places bulk payload
-#: arrays — catalog columns, Gibbs state snapshots, delta-merge fresh
-#: values — in parent-owned ``/dev/shm`` segments and ships tens-of-byte
-#: descriptors that workers attach as zero-copy views; ``"off"`` pickles
-#: every payload whole (for hosts without POSIX shared memory, though
-#: the store also degrades to this by itself if allocation fails).
-#: Bit-identical either way; inert on the serial/thread backends.
-SHM_MODES = ("on", "off")
 
 #: Truthy/falsy spellings accepted by boolean env knobs.
 _ENV_TRUE = ("1", "true", "yes", "on")
@@ -126,9 +78,7 @@ _ENV_FALSE = ("0", "false", "no", "off")
 _ENV_KNOBS = frozenset((
     "MCDBR_ENGINE", "MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE",
     "MCDBR_REPLENISHMENT", "MCDBR_DET_CACHE", "MCDBR_WINDOW_GROWTH",
-    "MCDBR_GIBBS_STATE", "MCDBR_STATE_REINIT", "MCDBR_SPECULATE",
-    "MCDBR_SPECULATE_DEPTH", "MCDBR_SWEEP_ORDER", "MCDBR_JOIN_TIMEOUT",
-    "MCDBR_SHM", "MCDBR_DET_CACHE_KEYING",
+    "MCDBR_SPECULATE_DEPTH", "MCDBR_JOIN_TIMEOUT",
     # Risk-service front-end knobs (repro.server), parsed by
     # ServerOptions.from_env — registered here so ExecutionOptions.from_env
     # running inside the server process doesn't reject them as typos.
@@ -197,25 +147,6 @@ def env_bool(name: str, default: bool) -> bool:
         f"{'|'.join(_ENV_TRUE + _ENV_FALSE)}")
 
 
-#: Env-overridable defaults so CI can run whole suites under either
-#: placement (``MCDBR_GIBBS_STATE=worker|broadcast``), re-init strategy
-#: (``MCDBR_STATE_REINIT=delta|full``) or speculation setting
-#: (``MCDBR_SPECULATE=1|0``) without threading the knobs through every
-#: construction site.  Read once at import — options constructed at
-#: different times inside one process can never silently disagree.
-_DEFAULT_GIBBS_STATE = env_choice("MCDBR_GIBBS_STATE", "worker",
-                                  GIBBS_STATE_MODES)
-_DEFAULT_STATE_REINIT = env_choice("MCDBR_STATE_REINIT", "delta",
-                                   STATE_REINIT_MODES)
-_DEFAULT_SPECULATE = env_bool("MCDBR_SPECULATE", True)
-_DEFAULT_SPECULATE_DEPTH = env_int("MCDBR_SPECULATE_DEPTH", 4, minimum=0)
-_DEFAULT_SWEEP_ORDER = env_choice("MCDBR_SWEEP_ORDER", "adaptive",
-                                  SWEEP_ORDERS)
-_DEFAULT_SHM = env_choice("MCDBR_SHM", "on", SHM_MODES)
-_DEFAULT_DET_CACHE_KEYING = env_choice("MCDBR_DET_CACHE_KEYING", "table",
-                                       DET_CACHE_KEYINGS)
-
-
 @dataclass(frozen=True)
 class ExecutionOptions:
     """How to execute a query: kernel selection + repetition sharding.
@@ -252,19 +183,6 @@ class ExecutionOptions:
         ``"context"`` (per plan execution) or ``"off"``.  Executors used
         directly fall back to ``"context"`` scoping unless a session cache
         object is handed to them.
-    det_cache_keying:
-        Invalidation granularity of the session det-cache (default
-        ``"table"``; env ``MCDBR_DET_CACHE_KEYING``).  ``"table"`` keys
-        every entry by the catalog names its subtree scans
-        (``PlanNode.base_tables()``) and the per-name versions they were
-        filled under: a mutation invalidates only entries that depend on
-        the touched name, and an append-only mutation
-        (``Catalog.append``) *refreshes* dependent entries by splicing
-        the new rows into the cached relation (full recompute only for
-        non-splicable shapes, e.g. a join whose build side also moved).
-        ``"catalog"`` reproduces the coarse whole-cache drop on any
-        mutation.  Bit-identical either way — only the amount of
-        recomputation after catalog mutations differs.
     window_growth:
         Geometric growth factor applied to the GibbsLooper's window after
         each replenishment (``1.0`` — the default — disables growth).
@@ -274,79 +192,25 @@ class ExecutionOptions:
         (the consumption pointer walks the same stream either way), so
         results stay bit-identical — only the replenishment schedule,
         and therefore ``plan_runs``, shrinks.
-    gibbs_state:
-        Seed-axis state placement for sharded Gibbs sweeps.
-        ``"worker"`` (default; env override ``MCDBR_GIBBS_STATE``) pins
-        each TS-seed handle range's tuples/states on its owning backend
-        worker for the life of the query: the snapshot ships once, every
-        sweep thereafter sends only commit/clone notifications, and the
-        owning worker serves follow-up windows too.  ``"broadcast"``
-        re-ships the pre-sweep snapshot every sweep (the stateless
-        transport, kept for comparison).  Bit-identical either way.
-    state_reinit:
-        How worker-owned seed state survives a replenishment.
-        ``"delta"`` (default; env ``MCDBR_STATE_REINIT``) keeps the
-        worker shards alive when the refuel preserved the tuple
-        structure: each owner receives one ``state_merge`` splice
-        carrying only the never-materialized window values for its
-        handle range, and its per-version caches carry over — the
-        worker-side mirror of the parent's ``replenishment="delta"``
-        fast path.  ``"full"`` discards the state on every refuel and
-        re-ships the whole snapshot (the baseline).  Inert under
-        ``gibbs_state="broadcast"``.  Bit-identical either way.
-    speculate_followups:
-        Speculative follow-up prefetch for rejection-heavy seeds
-        (default on; env ``MCDBR_SPECULATE``).  Every worker-served
-        window request carries the exact parameters of the *next*
-        request assuming the window is fully rejected; owners of
-        low-acceptance seeds pre-compute that window and piggyback it
-        on the reply, so the sweep's next ``_next_window`` resolves
-        from the speculation buffer instead of a blocking state call.
-        A per-seed epoch invalidates speculations the moment a commit,
-        clone or merge touches the seed — results stay bit-identical,
-        only the number of blocking round-trips drops.
     speculate_depth:
-        Maximum speculation-chain length per seed (default ``4``; env
-        ``MCDBR_SPECULATE_DEPTH``).  Owners speculate a K-deep chain of
-        successor windows — successor-of-successor under continued
-        rejection — so a fully rejected streak consumes K buffered
-        windows per blocking round-trip instead of alternating call/hit.
-        The *effective* depth per seed is adaptive: sized from the
-        seed's acceptance-pressure counters, deepest for hot
-        low-acceptance seeds, zero for seeds above the 1/8 acceptance
-        threshold.  ``1`` reproduces the one-window-deep PR-5 behavior;
-        ``0`` disables speculation entirely (like
-        ``speculate_followups=False``).  Every chain entry is guarded
-        by the same ``(params, epoch)`` exact-match rule, so results
-        are bit-identical at any depth.
-    sweep_order:
-        Sweep scheduling under ``gibbs_state="worker"`` (default
-        ``"adaptive"``; env ``MCDBR_SWEEP_ORDER``).  ``"adaptive"``
-        batches commit/note notifications per sweep segment (one
-        ``apply_batch`` cast at each flush point instead of a message
-        per event) and orders each shard's sweep-start scatter
-        hottest-seed-first so owners warm the rejection-heavy seeds'
-        chains before the sequential consumer arrives; ``"natural"``
-        keeps immediate casts and ascending-handle scatters.  Commits
-        always flush before any message that reads the seed's mirror,
-        so both orders are bit-identical.
+        Maximum speculation-chain length per seed on sharded tail
+        queries (default ``4``).  The worker owning a rejection-heavy
+        seed pre-computes a K-deep chain of successor windows — the
+        requests the sweep sends next under continued rejection — and
+        piggybacks it on its reply, so a fully rejected streak consumes
+        K buffered windows per blocking round-trip.  The *effective*
+        depth per seed is adaptive: sized from the seed's
+        acceptance-pressure counters, deepest for hot low-acceptance
+        seeds, zero for seeds above the 1/8 acceptance threshold.  ``0``
+        disables speculation.  Every chain entry is guarded by an exact
+        ``(params, epoch)`` match, so results are bit-identical at any
+        depth.
     join_timeout:
         Seconds :meth:`ProcessBackend.close` waits at each shutdown
         escalation step (stop message -> SIGTERM -> SIGKILL); ``None``
-        (default) uses the library default of 5 seconds.  Env
-        ``MCDBR_JOIN_TIMEOUT``; useful to shrink teardown latency in
-        fault-injection tests or supervised deployments.
-    shm:
-        Zero-copy shared-memory data plane for the process backend
-        (default ``"on"``; env ``MCDBR_SHM``).  Bulk payload arrays —
-        catalog/bundle columns in the shared channel, worker-owned
-        Gibbs snapshots, delta-merge fresh values — are placed once in
-        parent-owned shared-memory segments and shipped as descriptors
-        that workers attach as zero-copy NumPy views, instead of being
-        pickled and re-materialized per worker.  ``"off"`` keeps the
-        pure pickle transport (for ``/dev/shm``-less hosts; the store
-        also falls back by itself if allocation fails).  Inert on the
-        serial/thread backends.  Bit-identical either way.
+        (default) uses the library default of 5 seconds.  Useful to
+        shrink teardown latency in fault-injection tests or supervised
+        deployments.
     """
 
     engine: str = "vectorized"
@@ -355,15 +219,9 @@ class ExecutionOptions:
     shard_size: int | None = None
     replenishment: str = "delta"
     det_cache: str = "session"
-    det_cache_keying: str = _DEFAULT_DET_CACHE_KEYING
     window_growth: float = 1.0
-    gibbs_state: str = _DEFAULT_GIBBS_STATE
-    state_reinit: str = _DEFAULT_STATE_REINIT
-    speculate_followups: bool = _DEFAULT_SPECULATE
-    speculate_depth: int = _DEFAULT_SPECULATE_DEPTH
-    sweep_order: str = _DEFAULT_SWEEP_ORDER
+    speculate_depth: int = 4
     join_timeout: float | None = None
-    shm: str = _DEFAULT_SHM
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -388,74 +246,47 @@ class ExecutionOptions:
             raise ValueError(
                 f"unknown det_cache mode {self.det_cache!r}; "
                 f"supported: {DET_CACHE_MODES}")
-        if self.det_cache_keying not in DET_CACHE_KEYINGS:
-            raise ValueError(
-                f"unknown det_cache_keying mode {self.det_cache_keying!r}; "
-                f"supported: {DET_CACHE_KEYINGS}")
-        if self.gibbs_state not in GIBBS_STATE_MODES:
-            raise ValueError(
-                f"unknown gibbs_state mode {self.gibbs_state!r}; "
-                f"supported: {GIBBS_STATE_MODES}")
-        if self.state_reinit not in STATE_REINIT_MODES:
-            raise ValueError(
-                f"unknown state_reinit mode {self.state_reinit!r}; "
-                f"supported: {STATE_REINIT_MODES}")
-        if not isinstance(self.speculate_followups, bool):
-            raise ValueError(
-                f"speculate_followups must be a bool, got "
-                f"{self.speculate_followups!r}")
         if not isinstance(self.speculate_depth, int) \
                 or isinstance(self.speculate_depth, bool) \
                 or self.speculate_depth < 0:
             raise ValueError(
                 f"speculate_depth must be an integer >= 0, got "
                 f"{self.speculate_depth!r}")
-        if self.sweep_order not in SWEEP_ORDERS:
-            raise ValueError(
-                f"unknown sweep_order mode {self.sweep_order!r}; "
-                f"supported: {SWEEP_ORDERS}")
         if self.join_timeout is not None and not self.join_timeout > 0:
             raise ValueError(
                 f"join_timeout must be > 0 or None, got "
                 f"{self.join_timeout}")
-        if self.shm not in SHM_MODES:
-            raise ValueError(
-                f"unknown shm mode {self.shm!r}; supported: {SHM_MODES}")
 
     @classmethod
     def from_env(cls, **overrides) -> "ExecutionOptions":
         """Options from the ``MCDBR_*`` environment, validated eagerly.
 
-        The one sanctioned way for entry points (quickstart, CI smoke
-        runs, benchmarks) to pick up execution knobs from the
-        environment: every variable is parsed and validated *here*, so a
-        typo'd value fails with a clear :class:`EngineError` naming the
-        variable, instead of a ``ValueError`` from deep inside options
-        construction.  Explicit ``overrides`` win over the environment.
+        The only place execution knobs are read from the environment —
+        entry points (quickstart, the risk server, CI smoke runs) call
+        it explicitly; ``ExecutionOptions()`` itself never looks.  Every
+        variable is parsed and validated *here*, so a typo'd value fails
+        with a clear :class:`EngineError` naming the variable, instead
+        of a ``ValueError`` from deep inside options construction.
+        Explicit ``overrides`` win over the environment.
 
-        ==========================  =====================================
-        variable                    values
-        ==========================  =====================================
-        ``MCDBR_ENGINE``            ``vectorized|reference``
-        ``MCDBR_N_JOBS``            integer >= 1
-        ``MCDBR_BACKEND``           ``process|thread|serial``
-        ``MCDBR_SHARD_SIZE``        integer >= 1 (unset = even split)
-        ``MCDBR_REPLENISHMENT``     ``delta|full``
-        ``MCDBR_DET_CACHE``         ``session|context|off``
-        ``MCDBR_DET_CACHE_KEYING``  ``table|catalog``
-        ``MCDBR_WINDOW_GROWTH``     number >= 1.0
-        ``MCDBR_GIBBS_STATE``       ``worker|broadcast``
-        ``MCDBR_STATE_REINIT``      ``delta|full``
-        ``MCDBR_SPECULATE``         ``1|0|true|false|yes|no|on|off``
-        ``MCDBR_SPECULATE_DEPTH``   integer >= 0 (max chain length)
-        ``MCDBR_SWEEP_ORDER``       ``adaptive|natural``
-        ``MCDBR_JOIN_TIMEOUT``      number > 0 seconds (unset = 5s)
-        ``MCDBR_SHM``               ``on|off``
-        ==========================  =====================================
+        =========================  ======================================
+        variable                   values
+        =========================  ======================================
+        ``MCDBR_ENGINE``           ``vectorized|reference``
+        ``MCDBR_N_JOBS``           integer >= 1
+        ``MCDBR_BACKEND``          ``process|thread|serial``
+        ``MCDBR_SHARD_SIZE``       integer >= 1 (unset = even split)
+        ``MCDBR_REPLENISHMENT``    ``delta|full``
+        ``MCDBR_DET_CACHE``        ``session|context|off``
+        ``MCDBR_WINDOW_GROWTH``    number >= 1.0
+        ``MCDBR_SPECULATE_DEPTH``  integer >= 0 (max chain length)
+        ``MCDBR_JOIN_TIMEOUT``     number > 0 seconds (unset = 5s)
+        =========================  ======================================
 
         Unrecognized ``MCDBR_*`` variables are rejected too: a
-        misspelled *name* would otherwise silently leave its knob at the
-        default — the exact failure mode this parser exists to prevent.
+        misspelled *name* — or one of a retired knob — would otherwise
+        silently leave its setting at the default, the exact failure
+        mode this parser exists to prevent.
         """
         unknown_vars = sorted(
             name for name in os.environ
@@ -474,20 +305,10 @@ class ExecutionOptions:
                                      REPLENISHMENT_MODES),
             det_cache=env_choice("MCDBR_DET_CACHE", "session",
                                  DET_CACHE_MODES),
-            det_cache_keying=env_choice("MCDBR_DET_CACHE_KEYING", "table",
-                                        DET_CACHE_KEYINGS),
             window_growth=env_float("MCDBR_WINDOW_GROWTH", 1.0, 1.0),
-            gibbs_state=env_choice("MCDBR_GIBBS_STATE", "worker",
-                                   GIBBS_STATE_MODES),
-            state_reinit=env_choice("MCDBR_STATE_REINIT", "delta",
-                                    STATE_REINIT_MODES),
-            speculate_followups=env_bool("MCDBR_SPECULATE", True),
             speculate_depth=env_int("MCDBR_SPECULATE_DEPTH", 4, minimum=0),
-            sweep_order=env_choice("MCDBR_SWEEP_ORDER", "adaptive",
-                                   SWEEP_ORDERS),
             join_timeout=(env_float("MCDBR_JOIN_TIMEOUT", 5.0, 1e-3)
                           if "MCDBR_JOIN_TIMEOUT" in os.environ else None),
-            shm=env_choice("MCDBR_SHM", "on", SHM_MODES),
         )
         known = {field.name for field in fields(cls)}
         unknown = set(overrides) - known

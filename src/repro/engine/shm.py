@@ -152,8 +152,8 @@ class ShmBlockStore:
     every segment it creates until :meth:`release`/:meth:`close` unlinks
     them.  If the host cannot allocate POSIX shared memory at all (no
     ``/dev/shm``), the store flips itself unavailable on the first
-    failure and every later :meth:`dumps` degrades to plain pickling —
-    same bytes on the wire as ``MCDBR_SHM=off``, no caller involvement.
+    failure and every later :meth:`dumps` degrades to plain pickling, no
+    caller involvement.
     """
 
     def __init__(self) -> None:

@@ -389,8 +389,7 @@ def _describe_with_det_markers(node: PlanNode, indent: int) -> str:
 
     Each marker also lists the subtree's dependency set
     (``PlanNode.base_tables()``) — the names whose per-table catalog
-    versions the session cache's ``keying="table"`` mode validates the
-    entry against.
+    versions the session cache validates the entry against.
     """
     line = "  " * indent + node._describe_line()
     if not node.contains_random:

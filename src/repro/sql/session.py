@@ -300,22 +300,20 @@ class Session:
     broadcast to each worker once per
     :attr:`~repro.engine.table.Catalog.version`.  Tail queries
     additionally pin per-query *worker-owned Gibbs seed state* on the
-    pool (``gibbs_state="worker"``, the default): each worker keeps its
-    TS-seed handle range's tuples/states across sweeps and is kept in
-    sync by commit notifications; under ``state_reinit="delta"`` (the
-    default) that state even survives replenishments — each owner
-    receives a ``state_merge`` splice carrying only the
-    never-materialized window values, so the snapshot ships once per
-    *query*, not once per refuel — and with ``speculate_followups`` the
-    owners of rejection-heavy seeds pre-compute the sweep's next
-    candidate window so follow-ups resolve from a speculation buffer
-    instead of a blocking state call.  That state is scoped strictly to
-    one query — the looper discards it (a drain barrier) before
-    returning, so the persistent pool never carries stale seed state or
-    in-flight replies across queries, catalog mutations
-    (``Catalog.version`` bumps), or a :meth:`close`/respawn cycle.  Call
-    :meth:`close` (or use the session as a context manager) to release
-    the pool::
+    pool: each worker keeps its TS-seed handle range's tuples/states
+    across sweeps and is kept in sync by commit notifications; that
+    state even survives delta replenishments — each owner receives a
+    ``state_merge`` splice carrying only the never-materialized window
+    values, so the snapshot ships once per *query*, not once per refuel
+    — and (``speculate_depth > 0``) the owners of rejection-heavy seeds
+    pre-compute the sweep's next candidate windows so follow-ups resolve
+    from a speculation buffer instead of a blocking state call.  That
+    state is scoped strictly to one query — the looper discards it (a
+    drain barrier) before returning, so the persistent pool never
+    carries stale seed state or in-flight replies across queries,
+    catalog mutations (``Catalog.version`` bumps), or a
+    :meth:`close`/respawn cycle.  Call :meth:`close` (or use the session
+    as a context manager) to release the pool::
 
         with Session(options=ExecutionOptions(n_jobs=4)) as session:
             ...
@@ -325,7 +323,7 @@ class Session:
     #: of them through the :attr:`options` setter while a session-owned
     #: pool is live closes that pool so the next sharded query respawns
     #: it under the new configuration.
-    _BACKEND_KNOBS = ("backend", "n_jobs", "shm", "join_timeout")
+    _BACKEND_KNOBS = ("backend", "n_jobs", "join_timeout")
 
     def __init__(self, base_seed: int = 0, registry: VGRegistry | None = None,
                  tail_budget: int = 1000, window: int = 1000,
@@ -341,14 +339,11 @@ class Session:
         self._options = options or ExecutionOptions()
         #: Cross-query deterministic sub-plan cache (``det_cache="session"``,
         #: the default): materialized deterministic relations keyed by
-        #: structural plan fingerprint.  Under
-        #: ``det_cache_keying="table"`` (default) entries are additionally
-        #: keyed by the per-name catalog versions of the tables their
-        #: subtree scans — a mutation invalidates only dependent entries,
-        #: and :meth:`append` refreshes them by splicing the new rows in;
-        #: ``"catalog"`` drops everything on any mutation.
-        self.det_cache = SessionDetCache(
-            keying=self._options.det_cache_keying)
+        #: structural plan fingerprint and validated against the per-name
+        #: catalog versions of the tables their subtree scans — a
+        #: mutation invalidates only dependent entries, and :meth:`append`
+        #: refreshes them by splicing the new rows in.
+        self.det_cache = SessionDetCache()
         #: Persistent shard backend (``n_jobs > 1``).  Session-owned by
         #: default (built lazily on the first sharded query, kept until
         #: :meth:`close`); a server injects a *shared* backend instead —
@@ -373,10 +368,8 @@ class Session:
         """The session's :class:`~repro.engine.options.ExecutionOptions`.
 
         Assignable: dependent state follows the change instead of
-        silently staying frozen at first use.  Switching
-        ``det_cache_keying`` rebuilds (and therefore flushes) the session
-        det-cache under the new keying; changing any pool knob
-        (``backend``/``n_jobs``/``shm``/``join_timeout``) closes a live
+        silently staying frozen at first use: changing any pool knob
+        (``backend``/``n_jobs``/``join_timeout``) closes a live
         session-owned pool so the next sharded query respawns it with the
         new configuration.  A session running on a *shared* backend (a
         server-owned pool) refuses pool-knob changes with
@@ -393,10 +386,6 @@ class Session:
                 f"{type(new).__name__}")
         with self._execute_lock:
             old = self._options
-            if new.det_cache_keying != old.det_cache_keying:
-                # Rebuild rather than re-key: entries recorded under the
-                # other keying's validity rules cannot be trusted.
-                self.det_cache = SessionDetCache(keying=new.det_cache_keying)
             pool_moved = any(
                 getattr(new, knob) != getattr(old, knob)
                 for knob in self._BACKEND_KNOBS)
@@ -498,11 +487,11 @@ class Session:
     def append(self, name: str, rows) -> tuple[int, int]:
         """Append rows to a base table (column mapping or row dicts).
 
-        The append is journaled in the catalog, so under the default
-        ``det_cache_keying="table"`` cached deterministic subtrees over
-        the table are *refreshed* — the new rows spliced into the cached
-        relations — rather than recomputed, and entries over other
-        tables are untouched.  Returns ``(old_row_count, new_row_count)``.
+        The append is journaled in the catalog, so cached deterministic
+        subtrees over the table are *refreshed* — the new rows spliced
+        into the cached relations — rather than recomputed, and entries
+        over other tables are untouched.  Returns ``(old_row_count,
+        new_row_count)``.
         Rejections are typed and transactional
         (:class:`~repro.engine.errors.CatalogError`, nothing mutated);
         like :meth:`add_table`, the append serializes against running
@@ -603,7 +592,7 @@ class Session:
                                  det_markers=det_markers)
         if det_markers:
             stats = self.cache_stats()
-            text += ("\ndet-cache: keying={keying} entries={entries} "
+            text += ("\ndet-cache: entries={entries} "
                      "hits={hits} misses={misses} "
                      "invalidations={invalidations} "
                      "partial-invalidations={partial_invalidations} "
@@ -611,7 +600,7 @@ class Session:
         return text
 
     def cache_stats(self) -> dict:
-        """Session det-cache counters: ``keying``, ``entries``, ``hits``,
+        """Session det-cache counters: ``entries``, ``hits``,
         ``misses``, ``invalidations`` (whole-cache drops),
         ``partial_invalidations`` (single entries whose dependencies moved
         non-append-only) and ``append_refreshes`` (entries refreshed in

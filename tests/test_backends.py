@@ -571,14 +571,14 @@ class TestSessionPoolLifecycle:
         session.close()
 
 
-def _tail_looper(backend=None, n_jobs=2, gibbs_state="worker",
-                 customers=24, window=4000, versions=40, num_samples=20,
-                 m=2, k=2, p_step=0.2, base_seed=9, backend_name="process",
-                 state_reinit="delta", speculate_followups=True):
+def _tail_looper(backend=None, n_jobs=2, customers=24, window=4000,
+                 versions=40, num_samples=20, m=2, k=2, p_step=0.2,
+                 base_seed=9, backend_name="process",
+                 replenishment="delta"):
     """A rejection-heavy, replenishment-free Gibbs workload.
 
     ``window`` far exceeds what ``m * k`` sweeps consume, so the run has
-    ``plan_runs == 1`` — under worker state the snapshot therefore ships
+    ``plan_runs == 1`` — the worker-state snapshot therefore ships
     exactly once and everything after sweep 1 is pure notifications,
     which is what the transport regression pins.
     """
@@ -598,9 +598,7 @@ def _tail_looper(backend=None, n_jobs=2, gibbs_state="worker",
         aggregate_kind="sum", aggregate_expr=col("val"),
         window=window, base_seed=base_seed, k=k,
         options=ExecutionOptions(n_jobs=n_jobs, backend=backend_name,
-                                 gibbs_state=gibbs_state,
-                                 state_reinit=state_reinit,
-                                 speculate_followups=speculate_followups),
+                                 replenishment=replenishment),
         backend=backend)
 
 
@@ -892,8 +890,7 @@ class TestWorkerStateQueryFaults:
 
     def _session(self):
         session = Session(base_seed=11, tail_budget=200, window=2000,
-                          options=ExecutionOptions(n_jobs=2,
-                                                   gibbs_state="worker"))
+                          options=ExecutionOptions(n_jobs=2))
         session.add_table("means", {
             "CID": np.arange(15), "m": np.linspace(1.0, 3.0, 15)})
         session.execute(self.CREATE)
@@ -943,14 +940,12 @@ class TestWorkerStateQueryFaults:
 
 
 class TestWorkerStateTransport:
-    """Per-sweep bytes under gibbs_state="worker": notifications only.
+    """Per-sweep bytes under worker-owned state: notifications only.
 
-    The broadcast transport re-pickles the whole tuple/state snapshot
-    every sweep; worker-owned state ships it once at init and then sends
-    commit notifications a few hundred bytes each.  These tests pin the
-    shape (one init, zero job broadcasts, no re-ship after sweep 1); the
-    >= 5x per-sweep byte gate on a bigger workload lives in
-    ``benchmarks/bench_scaling.py``.
+    Worker-owned state ships the tuple/state snapshot once at init and
+    then sends commit notifications a few hundred bytes each.  These
+    tests pin the shape: one init, zero job broadcasts, no re-ship after
+    sweep 1, and delta refuels spliced instead of re-shipped.
     """
 
     def test_zero_snapshot_reships_after_sweep_one(self):
@@ -971,9 +966,9 @@ class TestWorkerStateTransport:
             backend.close()
 
     def test_delta_reinit_merges_instead_of_reshipping(self):
-        """A replenishing workload under ``state_reinit="delta"`` must
-        ship the snapshot exactly once and survive every refuel with a
-        ``state_merge`` splice strictly smaller than the snapshot."""
+        """A replenishing workload must ship the snapshot exactly once
+        and survive every refuel with a ``state_merge`` splice strictly
+        smaller than the snapshot."""
         backend = ProcessBackend(2)
         try:
             result = _tail_looper(backend=backend, window=500,
@@ -992,11 +987,14 @@ class TestWorkerStateTransport:
             backend.close()
 
     def test_full_reinit_reships_snapshot_after_each_refuel(self):
+        """``replenishment="full"`` rebuilds the tuple structure, so each
+        refuel discards the worker state and ships a fresh snapshot —
+        never a splice."""
         backend = ProcessBackend(2)
         try:
             result = _tail_looper(backend=backend, window=500,
                                   versions=30, p_step=0.15,
-                                  state_reinit="full").run()
+                                  replenishment="full").run()
             assert result.plan_runs > 1
             assert result.worker_state_merges == 0
             assert result.worker_state_inits > 1
@@ -1005,29 +1003,3 @@ class TestWorkerStateTransport:
                 result.worker_state_inits
         finally:
             backend.close()
-
-    def test_broadcast_reships_every_sweep(self):
-        backend = ProcessBackend(2)
-        try:
-            result = _tail_looper(backend=backend,
-                                  gibbs_state="broadcast").run()
-            stats = backend.stats
-            assert result.plan_runs == 1
-            assert stats["jobs"] == 4  # one snapshot job per sweep (m*k)
-            assert stats["state_inits"] == 0
-        finally:
-            backend.close()
-
-    def test_worker_mode_per_sweep_bytes_beat_broadcast(self):
-        per_sweep = {}
-        for mode in ("worker", "broadcast"):
-            backend = ProcessBackend(2)
-            try:
-                _tail_looper(backend=backend, gibbs_state=mode).run()
-                sweeps = 4  # m * k
-                bytes_after_init = (backend.stats["sent_bytes"]
-                                    - backend.stats["state_init_bytes"])
-                per_sweep[mode] = bytes_after_init / sweeps
-            finally:
-                backend.close()
-        assert per_sweep["broadcast"] >= 5 * per_sweep["worker"]

@@ -151,8 +151,8 @@ class TestSessionDetCache:
 
     def test_dependent_mutation_invalidates(self):
         """Rewriting a table a cached subtree scans drops exactly the
-        dependent entries (table keying, the default)."""
-        session = self._session(det_cache_keying="table")
+        dependent entries."""
+        session = self._session()
         session.execute(self.QUERY)
         assert len(session.det_cache) > 0
         session.add_table("means", {
@@ -163,7 +163,7 @@ class TestSessionDetCache:
     def test_unrelated_mutation_survives_table_keying(self):
         """The point of table-granular keying: DDL on a disjoint table
         leaves cached entries — and their arrays — untouched."""
-        session = self._session(det_cache_keying="table")
+        session = self._session()
         session.execute(self.QUERY)
         entries = len(session.det_cache)
         misses = session.det_cache.misses
@@ -173,16 +173,6 @@ class TestSessionDetCache:
         assert session.det_cache.invalidations == 0
         assert session.det_cache.partial_invalidations == 0
         assert len(session.det_cache) == entries
-
-    def test_catalog_keying_drops_everything(self):
-        """keying="catalog" reproduces the coarse protocol: any mutation
-        (even of an unrelated table) clears the whole cache."""
-        session = self._session(det_cache_keying="catalog")
-        session.execute(self.QUERY)
-        assert len(session.det_cache) > 0
-        session.add_table("extra", {"x": [1.0]})
-        session.execute(self.QUERY)
-        assert session.det_cache.invalidations >= 1
 
     def test_ftable_registration_invalidates(self):
         session = self._session()
@@ -411,7 +401,7 @@ class TestAppendSpliceRefresh:
         """End to end: MC samples after Session.append equal a fresh
         session built directly on the grown table."""
         query = TestSessionDetCache.QUERY
-        session = TestSessionDetCache()._session(det_cache_keying="table")
+        session = TestSessionDetCache()._session()
         session.execute(query)
         session.append("means", {"CID": [12, 13], "m": [3.2, 3.4]})
         grown = session.execute(query)

@@ -5,13 +5,15 @@ results — same tail samples, same (handle -> position) assignments, same
 acceptance statistics, same replenishment schedule — for the same session
 seed, on randomized plans and seeds.  Likewise the sharded Monte Carlo
 executor must be invariant to ``n_jobs`` and shard geometry, and every
-``backend × n_jobs × engine × replenishment × window_growth ×
-gibbs_state × shm`` combination — including seed-axis-sharded GibbsLooper
-runs with worker-owned state replaying commit notifications, with and
-without the zero-copy shared-memory data plane — must be bit-identical to
-the serial reference.  Nothing here is approximate:
-every comparison is exact.
+``engine × n_jobs × backend × replenishment × speculate_depth ×
+window_growth × det_cache`` combination — including seed-axis-sharded
+GibbsLooper runs with worker-owned state replaying commit notifications,
+with shared memory and on its allocation-failure fallback — must be
+bit-identical to the serial reference.  Nothing here is
+approximate: every comparison is exact.
 """
+
+import errno
 
 import numpy as np
 import pytest
@@ -20,12 +22,14 @@ from hypothesis import strategies as st
 
 from repro.core.gibbs_looper import GibbsLooper
 from repro.core.params import TailParams
+from repro.engine import shm as shm_module
 from repro.engine.expressions import col, lit
 from repro.engine.mcdb import AggregateSpec, MonteCarloExecutor
 from repro.engine.operators import (
     Join, Scan, Select, Split, random_table_pipeline)
 from repro.engine.options import ExecutionOptions
 from repro.engine.random_table import RandomColumnSpec, RandomTableSpec
+from repro.engine.shm import leaked_segments
 from repro.engine.table import Catalog, Table
 from repro.sql import Session
 from repro.vg.builtin import DISCRETE_CHOICE, NORMAL
@@ -73,9 +77,7 @@ class TestLooperEquivalence:
              aggregate_kind="sum", k=1, num_samples=25, m=2, p_step=0.3,
              versions=40, predicate=None, max_proposals=100_000,
              replenishment="delta", n_jobs=1, backend="process",
-             shard_size=None, window_growth=1.0, gibbs_state="worker",
-             state_reinit="delta", speculate_followups=True, shm="on",
-             speculate_depth=4, sweep_order="adaptive"):
+             shard_size=None, window_growth=1.0, speculate_depth=4):
         catalog, spec = _losses_catalog(customers)
         plan = random_table_pipeline(spec)
         if predicate is not None:
@@ -93,13 +95,7 @@ class TestLooperEquivalence:
                                      n_jobs=n_jobs, backend=backend,
                                      shard_size=shard_size,
                                      window_growth=window_growth,
-                                     gibbs_state=gibbs_state,
-                                     state_reinit=state_reinit,
-                                     speculate_followups=
-                                     speculate_followups,
-                                     shm=shm,
-                                     speculate_depth=speculate_depth,
-                                     sweep_order=sweep_order)).run()
+                                     speculate_depth=speculate_depth)).run()
 
     @given(customers=st.integers(3, 15),
            window=st.integers(60, 300),
@@ -422,6 +418,19 @@ class TestSessionLevelEquivalence:
         ).execute(self.TAIL_QUERY)
         _assert_identical(baseline.tail, other.tail)
 
+    @pytest.mark.parametrize("det_cache", ["session", "context", "off"])
+    @pytest.mark.parametrize("replenishment", ["delta", "full"])
+    def test_sharded_tail_query_invariant_to_cache_and_replenishment(
+            self, det_cache, replenishment):
+        """The same matrix with the seed-sharded Gibbs tail on the
+        default backend: still the serial default's exact tail."""
+        baseline = self._session().execute(self.TAIL_QUERY)
+        with self._session(ExecutionOptions(
+                det_cache=det_cache, replenishment=replenishment,
+                n_jobs=2)) as session:
+            other = session.execute(self.TAIL_QUERY)
+        _assert_identical(baseline.tail, other.tail)
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_session_backend_axis_tail_and_montecarlo(self, backend):
         """The whole SQL surface, sharded on each backend over the
@@ -486,22 +495,23 @@ class TestBackendMatrix:
             ExecutionOptions(n_jobs=n_jobs, backend=backend)).run(120)
         TestMonteCarloSharding._assert_results_equal(serial, sharded)
 
-    @pytest.mark.parametrize("gibbs_state", ["worker", "broadcast"])
+    @pytest.mark.parametrize("speculate_depth", [0, 4])
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("replenishment", ["delta", "full"])
     def test_gibbs_seed_sharding_equals_serial(self, backend, replenishment,
-                                               gibbs_state):
+                                               speculate_depth):
         serial = self._runner._run("vectorized", replenishment=replenishment,
                                    **self.GIBBS)
         sharded = self._runner._run("vectorized", replenishment=replenishment,
                                     n_jobs=2, backend=backend,
-                                    gibbs_state=gibbs_state, **self.GIBBS)
+                                    speculate_depth=speculate_depth,
+                                    **self.GIBBS)
         _assert_identical(serial, sharded)
         assert serial.sharded_windows == 0
         assert sharded.sharded_windows > 0  # the shard path actually ran
         assert serial.plan_runs > 1  # …and crossed replenishments
-        if gibbs_state == "broadcast":
-            assert sharded.followup_windows == 0  # stateless workers
+        if speculate_depth == 0:
+            assert sharded.speculated_windows == 0
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("n_jobs", [2, 3])
@@ -511,6 +521,19 @@ class TestBackendMatrix:
         reference = self._runner._run("reference", **self.GIBBS)
         sharded = self._runner._run(engine, n_jobs=n_jobs,
                                     backend="process", **self.GIBBS)
+        _assert_identical(reference, sharded)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    def test_gibbs_engine_axis_under_full_replenishment(self, engine,
+                                                        n_jobs):
+        """The engine axis again with ``replenishment="full"``, where
+        every refuel discards and re-ships the worker state."""
+        reference = self._runner._run("reference", replenishment="full",
+                                      **self.GIBBS)
+        sharded = self._runner._run(engine, n_jobs=n_jobs,
+                                    backend="process", replenishment="full",
+                                    **self.GIBBS)
         _assert_identical(reference, sharded)
 
     @pytest.mark.parametrize("n_jobs", [2, 5])
@@ -525,12 +548,11 @@ class TestBackendMatrix:
             _assert_identical(serial, sharded)
             assert sharded.sharded_windows > 0
 
-    @pytest.mark.parametrize("gibbs_state", ["worker", "broadcast"])
-    def test_multi_seed_plans_fall_back_to_serial_sweeps(self, gibbs_state):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_multi_seed_plans_fall_back_to_serial_sweeps(self, backend):
         """Tuples carrying several handles couple seeds through shared
         state; sharding must detect that and stay serial (bit-identity
-        the easy way), serving zero prefetched windows — in both state
-        placements."""
+        the easy way), serving zero worker windows on every backend."""
         runner = TestMultiSeedPlans()
         serial = runner._run("vectorized", base_seed=7)
         catalog, plan = TestMultiSeedPlans._salary_plan()
@@ -540,21 +562,21 @@ class TestBackendMatrix:
             aggregate_expr=col("e2.sal") - col("e1.sal"),
             final_predicate=col("e2.sal") > col("e1.sal"),
             window=500, base_seed=7,
-            options=ExecutionOptions(n_jobs=2, backend="process",
-                                     gibbs_state=gibbs_state)).run()
+            options=ExecutionOptions(n_jobs=2, backend=backend)).run()
         _assert_identical(serial, sharded)
         assert sharded.sharded_windows == 0
         assert sharded.followup_windows == 0
 
     _sql = TestSessionLevelEquivalence()
 
+    @pytest.mark.parametrize("replenishment", ["delta", "full"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("det_cache_keying", ["table", "catalog"])
-    def test_det_cache_keying_axis_with_appends(self, backend,
-                                                det_cache_keying):
-        """Table-granular cache keying — including an append-splice refresh
-        mid-session — must reproduce the coarse catalog protocol's tail
-        samples bit-for-bit, on every backend."""
+    def test_session_cache_append_splice_on_every_backend(self, backend,
+                                                          replenishment):
+        """The session det-cache — including an append-splice refresh
+        mid-session — must reproduce the uncached oracle's tail samples
+        bit-for-bit, on every backend and under both replenishment
+        modes."""
         def run(options):
             with self._sql._session(options) as session:
                 before = session.execute(self._sql.TAIL_QUERY)
@@ -563,15 +585,13 @@ class TestBackendMatrix:
                 stats = session.cache_stats()
             return before, after, stats
 
-        baseline = run(ExecutionOptions(det_cache_keying="catalog"))
-        keyed = run(ExecutionOptions(det_cache_keying=det_cache_keying,
-                                     n_jobs=2, backend=backend))
-        _assert_identical(baseline[0].tail, keyed[0].tail)
-        _assert_identical(baseline[1].tail, keyed[1].tail)
-        if det_cache_keying == "table":
-            assert keyed[2]["append_refreshes"] >= 1
-        else:
-            assert keyed[2]["invalidations"] >= 1
+        baseline = run(ExecutionOptions(det_cache="off",
+                                        replenishment=replenishment))
+        cached = run(ExecutionOptions(n_jobs=2, backend=backend,
+                                      replenishment=replenishment))
+        _assert_identical(baseline[0].tail, cached[0].tail)
+        _assert_identical(baseline[1].tail, cached[1].tail)
+        assert cached[2]["append_refreshes"] >= 1
 
     @given(base_seed=st.integers(0, 10_000),
            n_jobs=st.integers(2, 4),
@@ -589,40 +609,58 @@ class TestBackendMatrix:
                               **kwargs))
 
 
-class TestZeroCopyEquivalence:
-    """The ``shm`` axis: payloads delivered as shared-memory descriptors
-    must be bit-identical to pickled copies.  The data plane moves bytes
-    between transports, never values — catalog columns attach read-only,
-    worker-state snapshots attach writable and evolve through the same
-    notification replay, merge deltas splice the same fresh values."""
+class TestZeroCopyFallbackEquivalence:
+    """The zero-copy data plane degrades by itself: when shared-memory
+    allocation fails, payloads ship as whole pickles instead of segment
+    descriptors.  That moves bytes between transports, never values — so
+    a process-backend run forced onto the fallback must land on the same
+    bits as the serial reference and as the shared-memory run."""
 
     _runner = TestLooperEquivalence()
     GIBBS = TestBackendMatrix.GIBBS
 
-    @pytest.mark.parametrize("gibbs_state", ["worker", "broadcast"])
-    @pytest.mark.parametrize("state_reinit", ["delta", "full"])
-    def test_gibbs_tail_shm_on_equals_off(self, gibbs_state, state_reinit):
-        serial = self._runner._run("vectorized", backend="serial",
-                                   **self.GIBBS)
-        runs = [self._runner._run("vectorized", n_jobs=2, backend="process",
-                                  gibbs_state=gibbs_state,
-                                  state_reinit=state_reinit, shm=shm,
-                                  **self.GIBBS)
-                for shm in ("on", "off")]
-        _assert_identical(serial, runs[0])
-        _assert_identical(runs[0], runs[1])
+    @staticmethod
+    def _refuse_allocation(monkeypatch):
+        real_shared_memory = shm_module.shared_memory.SharedMemory
 
-    def test_monte_carlo_shm_on_equals_off(self):
+        def refuse_creation(*args, create=False, **kwargs):
+            if create:
+                raise OSError(errno.ENOSPC, "shared memory exhausted")
+            return real_shared_memory(*args, create=create, **kwargs)
+
+        monkeypatch.setattr(shm_module.shared_memory, "SharedMemory",
+                            refuse_creation)
+
+    @pytest.mark.parametrize("speculate_depth", [0, 4])
+    @pytest.mark.parametrize("replenishment", ["delta", "full"])
+    def test_gibbs_tail_fallback_equals_shm(self, monkeypatch,
+                                            replenishment, speculate_depth):
+        kwargs = dict(replenishment=replenishment,
+                      speculate_depth=speculate_depth, **self.GIBBS)
+        serial = self._runner._run("vectorized", backend="serial", **kwargs)
+        shm_run = self._runner._run("vectorized", n_jobs=2,
+                                    backend="process", **kwargs)
+        self._refuse_allocation(monkeypatch)
+        fallback = self._runner._run("vectorized", n_jobs=2,
+                                     backend="process", **kwargs)
+        _assert_identical(serial, shm_run)
+        _assert_identical(shm_run, fallback)
+        assert fallback.sharded_windows > 0
+        assert leaked_segments() == []
+
+    def test_monte_carlo_fallback_equals_shm(self, monkeypatch):
         serial = TestMonteCarloSharding._executor().run(120)
-        for shm in ("on", "off"):
-            sharded = TestMonteCarloSharding._executor(
-                ExecutionOptions(n_jobs=2, backend="process",
-                                 shm=shm)).run(120)
-            TestMonteCarloSharding._assert_results_equal(serial, sharded)
+        options = ExecutionOptions(n_jobs=2, backend="process")
+        shm_run = TestMonteCarloSharding._executor(options).run(120)
+        self._refuse_allocation(monkeypatch)
+        fallback = TestMonteCarloSharding._executor(options).run(120)
+        TestMonteCarloSharding._assert_results_equal(serial, shm_run)
+        TestMonteCarloSharding._assert_results_equal(serial, fallback)
+        assert leaked_segments() == []
 
 
 class TestWorkerStateReplay:
-    """The worker-owned-state replay gate (``gibbs_state="worker"``).
+    """The worker-owned-state replay gate.
 
     Stateful workers never see a fresh snapshot after ``init_state``:
     their mirrors evolve solely through commit/clone notifications, and
@@ -647,24 +685,23 @@ class TestWorkerStateReplay:
     def test_followup_windows_replay_identically(self, backend):
         serial = self._runner._run("vectorized", **self.REJECTION_HEAVY)
         worker = self._runner._run("vectorized", n_jobs=2, backend=backend,
-                                   gibbs_state="worker",
                                    **self.REJECTION_HEAVY)
         _assert_identical(serial, worker)
         assert worker.followup_windows > 0  # rejection forced follow-ups…
         # …and they are counted on top of the per-sweep first windows.
         assert worker.sharded_windows > worker.followup_windows
 
-    def test_worker_and_broadcast_land_on_the_same_bits(self):
-        worker = self._runner._run("vectorized", n_jobs=2, backend="serial",
-                                   gibbs_state="worker",
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_followup_windows_replay_without_speculation(self, backend):
+        """``speculate_depth=0``: every follow-up is a blocking owner
+        call, none is served from a speculation chain."""
+        serial = self._runner._run("vectorized", **self.REJECTION_HEAVY)
+        worker = self._runner._run("vectorized", n_jobs=2, backend=backend,
+                                   speculate_depth=0,
                                    **self.REJECTION_HEAVY)
-        broadcast = self._runner._run("vectorized", n_jobs=2,
-                                      backend="serial",
-                                      gibbs_state="broadcast",
-                                      **self.REJECTION_HEAVY)
-        _assert_identical(worker, broadcast)
+        _assert_identical(serial, worker)
         assert worker.followup_windows > 0
-        assert broadcast.followup_windows == 0
+        assert worker.speculated_windows == 0
 
     def test_process_shard_size_one_is_capped_and_identical(self):
         """``shard_size=1`` on the process transport must not pin many
@@ -675,8 +712,7 @@ class TestWorkerStateReplay:
         computed per seed, the bits cannot move."""
         serial = self._runner._run("vectorized", **self.REJECTION_HEAVY)
         worker = self._runner._run("vectorized", n_jobs=2, backend="process",
-                                   shard_size=1, gibbs_state="worker",
-                                   **self.REJECTION_HEAVY)
+                                   shard_size=1, **self.REJECTION_HEAVY)
         _assert_identical(serial, worker)
         assert worker.followup_windows > 0
 
@@ -687,7 +723,7 @@ class TestWorkerStateReplay:
                       base_seed=5, k=2)
         serial = self._runner._run("vectorized", **kwargs)
         worker = self._runner._run("vectorized", n_jobs=2, backend="process",
-                                   gibbs_state="worker", **kwargs)
+                                   **kwargs)
         _assert_identical(serial, worker)
         assert worker.plan_runs > 1  # the mirrors were really re-initialized
 
@@ -708,7 +744,6 @@ class TestWorkerStateReplay:
 
             monkeypatch.setattr(gl.GibbsSeedShard, name, wrapped)
         result = self._runner._run("vectorized", n_jobs=2, backend="serial",
-                                   gibbs_state="worker",
                                    **self.REJECTION_HEAVY)
         assert counts["commit"] > 0
         assert counts["clone"] > 0  # the between-step elite overwrite
@@ -736,13 +771,12 @@ class TestWorkerStateReplay:
         _assert_identical(
             self._runner._run("vectorized", **kwargs),
             self._runner._run("vectorized", n_jobs=n_jobs, backend="serial",
-                              shard_size=shard_size, gibbs_state="worker",
-                              **kwargs))
+                              shard_size=shard_size, **kwargs))
 
 
 class TestDeltaStateReinit:
-    """``state_reinit`` x ``speculate_followups``: the worker-owned state
-    must survive delta replenishments through ``state_merge`` splices —
+    """Delta state re-init x speculation: the worker-owned state must
+    survive delta replenishments through ``state_merge`` splices —
     per-version caches kept, only never-materialized window values
     shipped — and speculative follow-up prefetch must resolve windows
     from the speculation buffer, all at the serial sweep's exact bits.
@@ -755,9 +789,7 @@ class TestDeltaStateReinit:
                  m=2, base_seed=9)
 
     @staticmethod
-    def _run_skewed(n_jobs=1, backend="serial", state_reinit="delta",
-                    speculate_followups=True, speculate_depth=4,
-                    sweep_order="adaptive"):
+    def _run_skewed(n_jobs=1, backend="serial", speculate_depth=4):
         """Skew-rejection workload: a few extreme-variance seeds.
 
         Their versions burn thousands of candidates — long zero-accept
@@ -783,40 +815,30 @@ class TestDeltaStateReinit:
             aggregate_kind="sum", aggregate_expr=col("val"),
             window=1200, base_seed=13, k=2,
             options=ExecutionOptions(
-                n_jobs=n_jobs, backend=backend, gibbs_state="worker",
-                state_reinit=state_reinit,
-                speculate_followups=speculate_followups,
-                speculate_depth=speculate_depth,
-                sweep_order=sweep_order)).run()
+                n_jobs=n_jobs, backend=backend,
+                speculate_depth=speculate_depth)).run()
 
-    @pytest.mark.parametrize("speculate", [False, True])
-    @pytest.mark.parametrize("state_reinit", ["delta", "full"])
+    @pytest.mark.parametrize("speculate_depth", [0, 1, 4])
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reinit_matrix_equals_serial(self, backend, state_reinit,
-                                         speculate):
+    def test_reinit_matrix_equals_serial(self, backend, speculate_depth):
         serial = self._runner._run("vectorized", **self.HEAVY)
         sharded = self._runner._run(
-            "vectorized", n_jobs=2, backend=backend, gibbs_state="worker",
-            state_reinit=state_reinit, speculate_followups=speculate,
-            **self.HEAVY)
+            "vectorized", n_jobs=2, backend=backend,
+            speculate_depth=speculate_depth, **self.HEAVY)
         _assert_identical(serial, sharded)
         assert sharded.plan_runs > 1  # the scenario must replenish
-        if state_reinit == "delta":
-            # The state survived every refuel: one snapshot ship for the
-            # whole query, one splice per replenishment.
-            assert sharded.worker_state_inits == 1
-            assert sharded.worker_state_merges == sharded.plan_runs - 1
-            assert sharded.merged_positions > 0
-        else:
-            assert sharded.worker_state_merges == 0
-            assert sharded.worker_state_inits > 1
+        # The state survived every refuel: one snapshot ship for the
+        # whole query, one splice per replenishment.
+        assert sharded.worker_state_inits == 1
+        assert sharded.worker_state_merges == sharded.plan_runs - 1
+        assert sharded.merged_positions > 0
 
     def test_full_replenishment_mode_disables_merging(self):
-        """``replenishment="full"`` rebuilds the tuples, so even
-        ``state_reinit="delta"`` must fall back to discard + re-init."""
+        """``replenishment="full"`` rebuilds the tuples, so the worker
+        state must fall back to discard + re-init."""
         result = self._runner._run(
-            "vectorized", n_jobs=2, backend="serial", gibbs_state="worker",
-            replenishment="full", state_reinit="delta", **self.HEAVY)
+            "vectorized", n_jobs=2, backend="serial",
+            replenishment="full", **self.HEAVY)
         _assert_identical(
             self._runner._run("vectorized", replenishment="full",
                               **self.HEAVY), result)
@@ -827,9 +849,8 @@ class TestDeltaStateReinit:
     def test_speculation_serves_windows_bit_identically(self, backend):
         serial = self._run_skewed()
         plain = self._run_skewed(n_jobs=2, backend=backend,
-                                 speculate_followups=False)
-        speculated = self._run_skewed(n_jobs=2, backend=backend,
-                                      speculate_followups=True)
+                                 speculate_depth=0)
+        speculated = self._run_skewed(n_jobs=2, backend=backend)
         _assert_identical(serial, plain)
         _assert_identical(serial, speculated)
         assert plain.speculated_windows == 0
@@ -842,8 +863,7 @@ class TestDeltaStateReinit:
         the notification stream speculation depends on — it must be
         disabled there (results identical regardless)."""
         serial = self._run_skewed()
-        threaded = self._run_skewed(n_jobs=2, backend="thread",
-                                    speculate_followups=True)
+        threaded = self._run_skewed(n_jobs=2, backend="thread")
         _assert_identical(serial, threaded)
         assert threaded.speculated_windows == 0
         assert threaded.wasted_speculations == 0
@@ -908,11 +928,11 @@ class TestDeltaStateReinit:
     @given(base_seed=st.integers(0, 10_000),
            n_jobs=st.integers(2, 4),
            shard_size=st.sampled_from([None, 1, 3]),
-           speculate=st.booleans(),
+           speculate_depth=st.sampled_from([0, 1, 4]),
            window=st.integers(60, 400))
     @settings(max_examples=10, deadline=None)
     def test_property_delta_reinit_bit_identical(self, base_seed, n_jobs,
-                                                 shard_size, speculate,
+                                                 shard_size, speculate_depth,
                                                  window):
         """Random refuel/commit interleavings: every example splices a
         different never-materialized set into the mirrors (and draws a
@@ -923,19 +943,17 @@ class TestDeltaStateReinit:
         _assert_identical(
             self._runner._run("vectorized", **kwargs),
             self._runner._run("vectorized", n_jobs=n_jobs, backend="serial",
-                              shard_size=shard_size, gibbs_state="worker",
-                              state_reinit="delta",
-                              speculate_followups=speculate, **kwargs))
+                              shard_size=shard_size,
+                              speculate_depth=speculate_depth, **kwargs))
 
 
 class TestSpeculationChains:
-    """``speculate_depth`` x ``sweep_order``: K-deep speculative window
-    chains and adaptive sweep scheduling are pure transport — chain
-    entries are consumed only on an exact ``(params, epoch)`` match, hot
-    seeds are served first only within the bit-identity rules, and
-    commit notifications are batched but never reordered within a seed's
-    dependency chain — so every combination must land on the serial
-    sweep's exact bits.
+    """``speculate_depth``: K-deep speculative window chains and adaptive
+    sweep scheduling are pure transport — chain entries are consumed only
+    on an exact ``(params, epoch)`` match, hot seeds are served first only
+    within the bit-identity rules, and commit notifications are batched
+    but never reordered within a seed's dependency chain — so every depth
+    must land on the serial sweep's exact bits.
     """
 
     _runner = TestLooperEquivalence()
@@ -943,7 +961,6 @@ class TestSpeculationChains:
 
     @staticmethod
     def _run_chain(n_jobs=1, backend="serial", speculate_depth=4,
-                   sweep_order="adaptive", state_reinit="delta",
                    base_seed=2026, shard_size=None):
         """Deep-tail (m=3) workload with one extreme-variance hot seed.
 
@@ -971,40 +988,36 @@ class TestSpeculationChains:
             aggregate_kind="sum", aggregate_expr=col("val"),
             window=30000, base_seed=base_seed, k=1, max_proposals=30000,
             options=ExecutionOptions(
-                n_jobs=n_jobs, backend=backend, gibbs_state="worker",
-                state_reinit=state_reinit, window_growth=2.0,
-                speculate_depth=speculate_depth, sweep_order=sweep_order,
+                n_jobs=n_jobs, backend=backend, window_growth=2.0,
+                speculate_depth=speculate_depth,
                 shard_size=shard_size)).run()
 
-    @pytest.mark.parametrize("state_reinit", ["delta", "full"])
+    @pytest.mark.parametrize("replenishment", ["delta", "full"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("speculate_depth,sweep_order",
-                             [(0, "natural"), (0, "adaptive"),
-                              (4, "natural"), (4, "adaptive")])
-    def test_chain_matrix_equals_serial(self, speculate_depth, sweep_order,
-                                        backend, state_reinit):
-        """The full knob matrix on the replenishment-heavy workload."""
-        serial = self._runner._run("vectorized", **self.HEAVY)
+    @pytest.mark.parametrize("speculate_depth", [0, 1, 4])
+    def test_chain_matrix_equals_serial(self, speculate_depth, backend,
+                                        replenishment):
+        """The depth x backend x replenishment matrix on the
+        replenishment-heavy workload: ``"full"`` refuels discard and
+        re-ship the worker state, ``"delta"`` refuels splice it."""
+        serial = self._runner._run("vectorized", replenishment=replenishment,
+                                   **self.HEAVY)
         sharded = self._runner._run(
-            "vectorized", n_jobs=2, backend=backend, gibbs_state="worker",
-            state_reinit=state_reinit, speculate_depth=speculate_depth,
-            sweep_order=sweep_order, **self.HEAVY)
+            "vectorized", n_jobs=2, backend=backend,
+            replenishment=replenishment,
+            speculate_depth=speculate_depth, **self.HEAVY)
         _assert_identical(serial, sharded)
         assert sharded.plan_runs > 1  # the scenario must replenish
         if speculate_depth == 0:
             assert sharded.speculated_windows == 0
             assert sharded.speculation_chain_depth == 0
 
-    def test_pr5_protocol_is_depth_one_natural(self):
-        """``speculate_depth=1`` + ``sweep_order="natural"`` is exactly
-        the PR 5 wire protocol: one-deep chains, nothing batched."""
+    def test_depth_one_caps_chains_at_one_window(self):
         result = TestDeltaStateReinit._run_skewed(
-            n_jobs=2, backend="serial", speculate_depth=1,
-            sweep_order="natural")
+            n_jobs=2, backend="serial", speculate_depth=1)
         _assert_identical(TestDeltaStateReinit._run_skewed(), result)
         assert result.speculated_windows > 0
         assert result.speculation_chain_depth == 1
-        assert result.batched_notifications == 0
 
     def test_depth_zero_disables_speculation(self):
         result = TestDeltaStateReinit._run_skewed(
@@ -1018,7 +1031,7 @@ class TestSpeculationChains:
     def test_deep_chains_flow_bit_identically(self, backend):
         serial = self._run_chain()
         deep = self._run_chain(n_jobs=2, backend=backend,
-                               speculate_depth=4, sweep_order="adaptive")
+                               speculate_depth=4)
         np.testing.assert_array_equal(serial.samples, deep.samples)
         assert serial.assignments == deep.assignments
         assert deep.speculation_chain_depth >= 2  # chains really deepen
@@ -1027,24 +1040,21 @@ class TestSpeculationChains:
 
     @pytest.mark.slow
     @given(speculate_depth=st.integers(0, 8),
-           sweep_order=st.sampled_from(["natural", "adaptive"]),
            base_seed=st.integers(0, 10_000),
            shard_size=st.sampled_from([None, 1, 3]))
     @settings(max_examples=10, deadline=None)
     def test_property_chain_replay_bit_identical(self, speculate_depth,
-                                                 sweep_order, base_seed,
-                                                 shard_size):
-        """Random depths x orders x seeds over the serial backend's
-        pickled mirror: every example draws a different rejection path,
-        so the owners build, partially consume, and invalidate different
-        chains — chain prefixes serve only while the all-rejected
-        premise holds, epoch bumps kill whole chains — and every replay
-        must land on the unsharded sweep's exact bits."""
+                                                 base_seed, shard_size):
+        """Random depths x seeds over the serial backend's pickled
+        mirror: every example draws a different rejection path, so the
+        owners build, partially consume, and invalidate different chains
+        — chain prefixes serve only while the all-rejected premise holds,
+        epoch bumps kill whole chains — and every replay must land on the
+        unsharded sweep's exact bits."""
         reference = self._run_chain(base_seed=base_seed)
         replayed = self._run_chain(
             n_jobs=2, backend="serial", base_seed=base_seed,
-            speculate_depth=speculate_depth, sweep_order=sweep_order,
-            shard_size=shard_size)
+            speculate_depth=speculate_depth, shard_size=shard_size)
         np.testing.assert_array_equal(reference.samples, replayed.samples)
         assert reference.assignments == replayed.assignments
         assert reference.plan_runs == replayed.plan_runs
@@ -1099,35 +1109,44 @@ class TestSpeculationChains:
         """White-box: hot-seed-first scatter ordering and per-segment
         commit batching may interleave *different* seeds' notifications
         differently, but each seed's commit stream — its Gauss-Seidel
-        dependency chain — must reach the owner in exactly the natural
-        order, with strictly increasing epochs."""
+        dependency chain — must reach the owner in exactly the order the
+        sweep issued it, with strictly increasing epochs."""
         from repro.core import gibbs_looper as gl
-        streams = {}
+        issued, delivered = {}, {}
+
+        def record(streams, handle, versions, indices, values, present,
+                   epoch):
+            streams.setdefault(handle, []).append(
+                (epoch, versions.tobytes(), indices.tobytes(),
+                 values.tobytes(), present.tobytes()))
+
+        orig_cast = gl.GibbsLooper._cast_commit
+
+        def cast(self, shard, *args):
+            record(issued, *args)
+            orig_cast(self, shard, *args)
+
         orig_commit = gl.GibbsSeedShard.apply_commit
 
         def commit(self, handle, versions, indices, values, present,
                    epoch=0):
-            streams.setdefault(handle, []).append(
-                (epoch, versions.tobytes(), indices.tobytes(),
-                 values.tobytes(), present.tobytes()))
+            record(delivered, handle, versions, indices, values, present,
+                   epoch)
             orig_commit(self, handle, versions, indices, values, present,
                         epoch)
 
+        monkeypatch.setattr(gl.GibbsLooper, "_cast_commit", cast)
         monkeypatch.setattr(gl.GibbsSeedShard, "apply_commit", commit)
-        observed = {}
-        for sweep_order in ("natural", "adaptive"):
-            streams.clear()
-            TestDeltaStateReinit._run_skewed(n_jobs=2, backend="serial",
-                                             sweep_order=sweep_order)
-            observed[sweep_order] = {
-                handle: list(stream) for handle, stream in streams.items()}
-            assert observed[sweep_order]  # commits really flowed
-            for stream in observed[sweep_order].values():
-                epochs = [entry[0] for entry in stream]
-                assert epochs == sorted(epochs)
-                assert len(set(epochs)) == len(epochs)
+        result = TestDeltaStateReinit._run_skewed(n_jobs=2,
+                                                  backend="serial")
+        assert result.batched_notifications > 0  # batching really ran
+        assert delivered  # commits really flowed
+        for stream in delivered.values():
+            epochs = [entry[0] for entry in stream]
+            assert epochs == sorted(epochs)
+            assert len(set(epochs)) == len(epochs)
         # Batching and hot-first serving moved nothing within a seed.
-        assert observed["adaptive"] == observed["natural"]
+        assert delivered == issued
 
 
 class TestWindowGrowth:
@@ -1161,12 +1180,11 @@ class TestWindowGrowth:
         assert flat.plan_runs > 2  # the scenario must refuel repeatedly
         assert grown.plan_runs < flat.plan_runs
 
-    @pytest.mark.parametrize("gibbs_state", ["worker", "broadcast"])
-    def test_growth_composes_with_seed_sharding(self, gibbs_state):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_growth_composes_with_seed_sharding(self, backend):
         flat = self._runner._run("vectorized", **self.HEAVY)
         grown = self._runner._run("vectorized", window_growth=1.5,
-                                  n_jobs=2, backend="process",
-                                  gibbs_state=gibbs_state, **self.HEAVY)
+                                  n_jobs=2, backend=backend, **self.HEAVY)
         self._assert_same_samples(flat, grown)
         assert grown.plan_runs < flat.plan_runs
 

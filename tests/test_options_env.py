@@ -1,30 +1,41 @@
 """``MCDBR_*`` environment-knob parsing (``ExecutionOptions.from_env``).
 
-Every execution knob is overridable from the environment for CI matrix
-runs and the quickstart; parsing must be eager and strict — a misspelled
-value fails with a clear :class:`EngineError` naming the variable, never
-a late ``ValueError`` from some construction site deep in a query.
+Every execution knob is overridable from the environment for CI smoke
+runs, the risk server and the quickstart; parsing must be eager and
+strict — a misspelled value fails with a clear :class:`EngineError`
+naming the variable, never a late ``ValueError`` from some construction
+site deep in a query.  ``from_env`` is also the *only* reader: the
+class defaults never consult the environment.
 """
+
+import os
+import subprocess
+import sys
+from dataclasses import fields
 
 import pytest
 
 from repro.engine.errors import EngineError
 from repro.engine.options import (
-    ExecutionOptions, ServerOptions, env_bool, env_choice, env_float,
-    env_int)
+    _ENV_KNOBS, ExecutionOptions, ServerOptions, env_bool, env_choice,
+    env_float, env_int)
 
 ALL_KNOBS = (
     "MCDBR_ENGINE", "MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE",
     "MCDBR_REPLENISHMENT", "MCDBR_DET_CACHE", "MCDBR_WINDOW_GROWTH",
-    "MCDBR_GIBBS_STATE", "MCDBR_STATE_REINIT", "MCDBR_SPECULATE",
-    "MCDBR_SHM", "MCDBR_SPECULATE_DEPTH", "MCDBR_SWEEP_ORDER",
-    "MCDBR_JOIN_TIMEOUT", "MCDBR_DET_CACHE_KEYING")
+    "MCDBR_SPECULATE_DEPTH", "MCDBR_JOIN_TIMEOUT")
+
+#: Knobs of execution modes that no longer exist.  A deployment still
+#: setting one must fail loudly instead of silently running the default.
+RETIRED_KNOBS = ("GIBBS_STATE", "STATE_REINIT", "SPECULATE", "SWEEP_ORDER",
+                 "SHM", "DET_CACHE_KEYING")
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for name in ALL_KNOBS:
-        monkeypatch.delenv(name, raising=False)
+    for name in list(os.environ):
+        if name.startswith("MCDBR_"):
+            monkeypatch.delenv(name)
 
 
 class TestFromEnvDefaults:
@@ -33,9 +44,12 @@ class TestFromEnvDefaults:
         assert options == ExecutionOptions(
             engine="vectorized", n_jobs=1, backend="process",
             shard_size=None, replenishment="delta", det_cache="session",
-            det_cache_keying="table", window_growth=1.0, gibbs_state="worker", state_reinit="delta",
-            speculate_followups=True, speculate_depth=4,
-            sweep_order="adaptive", join_timeout=None)
+            window_growth=1.0, speculate_depth=4, join_timeout=None)
+
+    def test_one_env_knob_per_field(self):
+        assert len(fields(ExecutionOptions)) == len(ALL_KNOBS)
+        assert {name for name in _ENV_KNOBS
+                if not name.startswith("MCDBR_SERVER_")} == set(ALL_KNOBS)
 
     def test_overrides_win_over_environment(self, monkeypatch):
         monkeypatch.setenv("MCDBR_N_JOBS", "4")
@@ -48,31 +62,55 @@ class TestFromEnvDefaults:
         with pytest.raises(EngineError, match="unknown ExecutionOptions"):
             ExecutionOptions.from_env(warp_drive=True)
 
-    def test_misspelled_variable_name_is_rejected(self, monkeypatch):
-        """A typo'd *name* must fail fast too — silently falling back to
-        the default is the exact failure mode from_env exists to stop."""
-        monkeypatch.setenv("MCDBR_SPECULTE", "0")
-        with pytest.raises(EngineError, match="MCDBR_SPECULTE"):
+    @pytest.mark.parametrize("name", [
+        "MCDBR_SPECULTE",
+        *(f"MCDBR_{retired}" for retired in RETIRED_KNOBS),
+    ])
+    def test_misspelled_variable_name_is_rejected(self, monkeypatch, name):
+        """A typo'd *name* — or a retired knob's — must fail fast too:
+        silently falling back to the default is the exact failure mode
+        from_env exists to stop."""
+        monkeypatch.setenv(name, "0")
+        with pytest.raises(EngineError,
+                           match=f"unrecognized environment knobs.*{name}"):
             ExecutionOptions.from_env()
+
+    def test_defaults_ignore_the_environment(self):
+        """Only from_env reads MCDBR_*: a variable set before ``repro``
+        is even imported leaves the class defaults alone."""
+        script = (
+            "from repro import ExecutionOptions\n"
+            "print(ExecutionOptions().speculate_depth,"
+            " ExecutionOptions.from_env().speculate_depth)\n")
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith("MCDBR_")}
+        env["MCDBR_SPECULATE_DEPTH"] = "0"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             env.get("PYTHONPATH", "")])
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60, check=True)
+        assert completed.stdout.split() == ["4", "0"]
 
 
 class TestFromEnvValues:
     @pytest.mark.parametrize("name, value, field, expected", [
         ("MCDBR_ENGINE", "reference", "engine", "reference"),
+        ("MCDBR_ENGINE", "vectorized", "engine", "vectorized"),
         ("MCDBR_N_JOBS", "3", "n_jobs", 3),
         ("MCDBR_BACKEND", "serial", "backend", "serial"),
+        ("MCDBR_BACKEND", "thread", "backend", "thread"),
+        ("MCDBR_BACKEND", "process", "backend", "process"),
         ("MCDBR_SHARD_SIZE", "7", "shard_size", 7),
         ("MCDBR_REPLENISHMENT", "full", "replenishment", "full"),
+        ("MCDBR_REPLENISHMENT", "delta", "replenishment", "delta"),
         ("MCDBR_DET_CACHE", "off", "det_cache", "off"),
-        ("MCDBR_DET_CACHE_KEYING", "catalog", "det_cache_keying", "catalog"),
+        ("MCDBR_DET_CACHE", "context", "det_cache", "context"),
+        ("MCDBR_DET_CACHE", "session", "det_cache", "session"),
         ("MCDBR_WINDOW_GROWTH", "2.5", "window_growth", 2.5),
-        ("MCDBR_GIBBS_STATE", "broadcast", "gibbs_state", "broadcast"),
-        ("MCDBR_STATE_REINIT", "full", "state_reinit", "full"),
-        ("MCDBR_SPECULATE", "0", "speculate_followups", False),
-        ("MCDBR_SHM", "off", "shm", "off"),
         ("MCDBR_SPECULATE_DEPTH", "8", "speculate_depth", 8),
         ("MCDBR_SPECULATE_DEPTH", "0", "speculate_depth", 0),
-        ("MCDBR_SWEEP_ORDER", "natural", "sweep_order", "natural"),
         ("MCDBR_JOIN_TIMEOUT", "2.5", "join_timeout", 2.5),
     ])
     def test_each_knob_flows_through(self, monkeypatch, name, value,
@@ -85,8 +123,8 @@ class TestFromEnvValues:
         ("0", False), ("false", False), ("No", False), ("OFF", False),
     ])
     def test_boolean_spellings(self, monkeypatch, spelling, expected):
-        monkeypatch.setenv("MCDBR_SPECULATE", spelling)
-        assert ExecutionOptions.from_env().speculate_followups is expected
+        monkeypatch.setenv("MCDBR_SERVER_STANDING_AUTOREFRESH", spelling)
+        assert ServerOptions.from_env().standing_autorefresh is expected
 
 
 class TestFromEnvRejections:
@@ -95,11 +133,6 @@ class TestFromEnvRejections:
         ("MCDBR_BACKEND", "fork"),
         ("MCDBR_REPLENISHMENT", "partial"),
         ("MCDBR_DET_CACHE", "disk"),
-        ("MCDBR_DET_CACHE_KEYING", "row"),
-        ("MCDBR_GIBBS_STATE", "parent"),
-        ("MCDBR_STATE_REINIT", "incremental"),
-        ("MCDBR_SHM", "auto"),
-        ("MCDBR_SWEEP_ORDER", "random"),
     ])
     def test_invalid_choice_names_the_variable(self, monkeypatch, name,
                                                value):
@@ -131,9 +164,10 @@ class TestFromEnvRejections:
 
     @pytest.mark.parametrize("value", ["maybe", "2", ""])
     def test_invalid_boolean(self, monkeypatch, value):
-        monkeypatch.setenv("MCDBR_SPECULATE", value)
-        with pytest.raises(EngineError, match="MCDBR_SPECULATE"):
-            ExecutionOptions.from_env()
+        monkeypatch.setenv("MCDBR_SERVER_STANDING_AUTOREFRESH", value)
+        with pytest.raises(EngineError,
+                           match="MCDBR_SERVER_STANDING_AUTOREFRESH"):
+            ServerOptions.from_env()
 
     @pytest.mark.parametrize("value", ["-1", "four", "2.5", ""])
     def test_invalid_speculate_depth(self, monkeypatch, value):
@@ -149,20 +183,19 @@ class TestFromEnvRejections:
 
 
 class TestEnvHelpers:
-    """The parsing primitives the import-time defaults also go through."""
+    """The parsing primitives both ``from_env`` parsers go through."""
 
     def test_env_choice_default_and_value(self, monkeypatch):
-        assert env_choice("MCDBR_GIBBS_STATE", "worker",
-                          ("worker", "broadcast")) == "worker"
-        monkeypatch.setenv("MCDBR_GIBBS_STATE", "broadcast")
-        assert env_choice("MCDBR_GIBBS_STATE", "worker",
-                          ("worker", "broadcast")) == "broadcast"
+        assert env_choice("MCDBR_REPLENISHMENT", "delta",
+                          ("delta", "full")) == "delta"
+        monkeypatch.setenv("MCDBR_REPLENISHMENT", "full")
+        assert env_choice("MCDBR_REPLENISHMENT", "delta",
+                          ("delta", "full")) == "full"
 
     def test_env_choice_lists_supported_values(self, monkeypatch):
-        monkeypatch.setenv("MCDBR_GIBBS_STATE", "nowhere")
-        with pytest.raises(EngineError, match="worker|broadcast"):
-            env_choice("MCDBR_GIBBS_STATE", "worker",
-                       ("worker", "broadcast"))
+        monkeypatch.setenv("MCDBR_REPLENISHMENT", "nowhere")
+        with pytest.raises(EngineError, match="delta|full"):
+            env_choice("MCDBR_REPLENISHMENT", "delta", ("delta", "full"))
 
     def test_env_int_and_float_and_bool(self, monkeypatch):
         monkeypatch.setenv("K_INT", "5")
@@ -178,16 +211,12 @@ class TestEnvHelpers:
     def test_direct_construction_still_raises_value_error(self):
         # The constructor keeps its ValueError contract for programmatic
         # misuse; EngineError is specifically the env-parsing surface.
-        with pytest.raises(ValueError, match="state_reinit"):
-            ExecutionOptions(state_reinit="bogus")
-        with pytest.raises(ValueError, match="det_cache_keying"):
-            ExecutionOptions(det_cache_keying="row")
-        with pytest.raises(ValueError, match="speculate_followups"):
-            ExecutionOptions(speculate_followups="yes")
+        with pytest.raises(ValueError, match="replenishment"):
+            ExecutionOptions(replenishment="bogus")
+        with pytest.raises(ValueError, match="det_cache"):
+            ExecutionOptions(det_cache="disk")
         with pytest.raises(ValueError, match="speculate_depth"):
             ExecutionOptions(speculate_depth=-1)
-        with pytest.raises(ValueError, match="sweep_order"):
-            ExecutionOptions(sweep_order="random")
         with pytest.raises(ValueError, match="join_timeout"):
             ExecutionOptions(join_timeout=0.0)
 

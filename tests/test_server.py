@@ -399,15 +399,6 @@ class TestOptionsProperty:
             with pytest.raises(EngineError, match="ExecutionOptions"):
                 session.options = {"n_jobs": 2}
 
-    def test_keying_change_flushes_det_cache(self):
-        with _loss_session() as session:
-            session.execute("SELECT SUM(m) FROM means")
-            session.execute("SELECT SUM(m) FROM means")
-            assert len(session.det_cache) > 0
-            session.options = ExecutionOptions(det_cache_keying="catalog")
-            assert len(session.det_cache) == 0
-            assert session.det_cache.keying == "catalog"
-
     def test_pool_knob_change_closes_owned_pool(self):
         with _loss_session(
                 options=ExecutionOptions(n_jobs=2,
@@ -433,6 +424,19 @@ class TestOptionsProperty:
             session.options = ExecutionOptions(
                 n_jobs=2, backend="thread", engine="reference")
             assert session.backend is pool
+
+    def test_options_change_keeps_det_cache(self):
+        """The det-cache is keyed by table, not by execution options: an
+        options change leaves its entries in place to be hit again."""
+        with _loss_session() as session:
+            session.execute("SELECT SUM(m) FROM means")
+            entries = len(session.det_cache)
+            assert entries > 0
+            session.options = ExecutionOptions(speculate_depth=0)
+            assert len(session.det_cache) == entries
+            hits = session.det_cache.hits
+            session.execute("SELECT SUM(m) FROM means")
+            assert session.det_cache.hits > hits
 
     def test_shared_backend_refuses_pool_knob_change(self):
         options = ExecutionOptions(n_jobs=2, backend="thread")

@@ -16,6 +16,7 @@ Three families of guarantees:
   ``mcdbr-*`` entry behind.
 """
 
+import errno
 import mmap
 import multiprocessing
 import os
@@ -25,6 +26,7 @@ import signal
 import numpy as np
 import pytest
 
+from repro.engine import shm as shm_module
 from repro.engine.backends import ProcessBackend, make_backend
 from repro.engine.errors import EngineError
 from repro.engine.options import ExecutionOptions
@@ -111,6 +113,20 @@ class StuckState:
         import time
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
         time.sleep(600)
+
+
+def _refuse_shm_allocation(monkeypatch):
+    """Make every shared-memory *creation* fail the way a host without
+    (or with a full) ``/dev/shm`` does; attaching stays real."""
+    real_shared_memory = shm_module.shared_memory.SharedMemory
+
+    def refuse_creation(*args, create=False, **kwargs):
+        if create:
+            raise OSError(errno.ENOSPC, "shared memory exhausted")
+        return real_shared_memory(*args, create=create, **kwargs)
+
+    monkeypatch.setattr(shm_module.shared_memory, "SharedMemory",
+                        refuse_creation)
 
 
 class TestBlockStore:
@@ -331,8 +347,13 @@ class TestProcessBackendDataPlane:
         finally:
             backend.close()
 
-    def test_shm_off_ships_plain_pickles(self):
-        backend = ProcessBackend(2, use_shm=False)
+    def test_allocation_failure_ships_plain_pickles(self, monkeypatch):
+        """Backend-level view of the fallback: the first failed
+        allocation switches the store off for good, so shared payloads
+        and state snapshots travel as whole pickles — same values, no
+        views, no segments."""
+        _refuse_shm_allocation(monkeypatch)
+        backend = ProcessBackend(2)
         array = np.arange(50_000, dtype=np.float64)
         try:
             job = SharedArrayJob(("table", 3), array)
@@ -341,6 +362,8 @@ class TestProcessBackendDataPlane:
                                float(array[25_000:].sum())]
             token = backend.init_state([BigState(array)])
             assert backend.state_call(token, 0, "is_view") is False
+            assert backend.state_call(token, 0, "checksum") == \
+                float(array.sum())
             backend.discard_state(token)
             assert not backend.shm_enabled
             assert backend.stats["shm_segments"] == 0
@@ -349,19 +372,60 @@ class TestProcessBackendDataPlane:
         finally:
             backend.close()
 
-    def test_make_backend_honors_the_shm_option(self):
-        # Explicit on both sides: the field's *default* tracks MCDBR_SHM,
-        # and CI runs this suite under the =off leg too.
-        on = make_backend(ExecutionOptions(n_jobs=2, backend="process",
-                                           shm="on"))
-        off = make_backend(ExecutionOptions(n_jobs=2, backend="process",
-                                            shm="off"))
+    def test_make_backend_always_uses_shared_memory(self):
+        """There is no opt-out: every process backend the options build
+        starts on the shared-memory data plane."""
+        backend = make_backend(ExecutionOptions(n_jobs=2,
+                                                backend="process"))
         try:
-            assert on.shm_enabled
-            assert not off.shm_enabled
+            assert backend.shm_enabled
         finally:
-            on.close()
-            off.close()
+            backend.close()
+
+    def test_allocation_failure_falls_back_to_plain_pickles(
+            self, monkeypatch):
+        """A host that cannot allocate shared memory (no ``/dev/shm``, or
+        a full one) degrades to whole-payload pickling by itself: sharded
+        MC and tail queries on the process backend stay bit-identical to
+        serial, nothing attaches, and no segment leaks."""
+        from repro.sql import Session
+
+        def run(options):
+            with Session(base_seed=11, tail_budget=200, window=2000,
+                         options=options) as session:
+                session.add_table("means", {
+                    "CID": np.arange(15), "m": np.linspace(1.0, 3.0, 15)})
+                session.execute("""
+                    CREATE TABLE Losses (CID, val) AS
+                    FOR EACH CID IN means
+                    WITH myVal AS Normal(VALUES(m, 1.0))
+                    SELECT CID, myVal.* FROM myVal
+                """)
+                mc = session.execute("""
+                    SELECT SUM(val) AS loss FROM Losses
+                    WITH RESULTDISTRIBUTION MONTECARLO(40)
+                """)
+                tail = session.execute("""
+                    SELECT SUM(val) AS loss FROM Losses WHERE CID < 12
+                    WITH RESULTDISTRIBUTION MONTECARLO(30)
+                    DOMAIN loss >= QUANTILE(0.9)
+                """)
+                backend = session.backend
+            return (mc.distributions.distribution("loss").samples,
+                    tail.tail, backend)
+
+        serial_mc, serial_tail, _ = run(ExecutionOptions())
+        _refuse_shm_allocation(monkeypatch)
+        mc, tail, backend = run(ExecutionOptions(n_jobs=2,
+                                                 backend="process"))
+        np.testing.assert_array_equal(mc, serial_mc)
+        np.testing.assert_array_equal(tail.samples, serial_tail.samples)
+        assert tail.assignments == serial_tail.assignments
+        assert tail.sharded_windows > 0  # the worker-state path really ran
+        assert not backend.shm_enabled  # the store gave up on allocation
+        assert backend.stats["shm_segments"] == 0
+        assert backend.stats["shm_attached_bytes"] == 0
+        assert leaked_segments() == []
 
 
 class TestSegmentLifecycle:
