@@ -18,13 +18,17 @@ Gates:
   queries/second on the identical workload;
 * **det-cache sharing**: every tenant must see >= 1 cross-query
   det-cache hit (the mechanism the speedup is attributed to);
-* **bit-identity**: every served result payload must equal, byte for
-  byte of its JSON, a serial single-session run of the same statements
-  with the same base seed — multi-tenancy, admission queuing, and the
-  shared pool change *when* a query runs, never what it answers.
+* **bit-identity**: every served result payload — pooled and
+  ``n_jobs=1`` — must equal, byte for byte of its JSON, a serial
+  single-session run of the same statements with the same base seed —
+  multi-tenancy, admission queuing, and the shared pool change *when* a
+  query runs, never what it answers.
 
 Also recorded (informational): p50/p99 admission-to-result latency as
-measured by the server's own query records.
+measured by the server's own query records, and the served workload's
+wall-clock on the 2-worker process pool beside the same workload served
+with ``n_jobs=1`` (no pool at all) — the simplest path the pool has to
+beat.
 
 Run:  python benchmarks/bench_server.py [--json out.json]
 """
@@ -69,7 +73,8 @@ STATEMENTS = (
     "WHERE ledger.acct = accounts.acct2 AND accounts.region < 3",
 )
 
-OPTIONS = ExecutionOptions(n_jobs=2, backend="thread")
+OPTIONS = ExecutionOptions(n_jobs=2, backend="process")
+SERIAL_OPTIONS = ExecutionOptions()
 
 
 def _tenant_data(tenant):
@@ -103,11 +108,11 @@ def _call(url, method="GET", body=None):
         return json.loads(response.read().decode())
 
 
-def _served_run():
+def _served_run(options=OPTIONS):
     """The front end as designed: 8 HTTP clients, 2 tenants, 1 pool."""
     results = {tenant: {} for tenant in TENANTS}   # sql -> [payloads]
     failures = []
-    with RiskServer(options=OPTIONS,
+    with RiskServer(options=options,
                     server_options=ServerOptions(
                         concurrency=4, queue_depth=32,
                         query_timeout=None)) as server:
@@ -201,6 +206,7 @@ def _serial_reference(tenant):
 
 def bench_throughput_and_identity():
     served_s, results, hits, latencies = _served_run()
+    serial_s, serial_results, _, _ = _served_run(SERIAL_OPTIONS)
     baseline_s = _baseline_run()
     total = CLIENTS * len(STATEMENTS)
     served_qps = total / served_s
@@ -212,23 +218,27 @@ def bench_throughput_and_identity():
     mismatches = 0
     for tenant in TENANTS:
         reference = _serial_reference(tenant)
-        for sql, records in results[tenant].items():
-            for record in records:
-                if record["result"] != reference[sql]:
-                    mismatches += 1
+        for served in (results, serial_results):
+            for sql, records in served[tenant].items():
+                for record in records:
+                    if record["result"] != reference[sql]:
+                        mismatches += 1
 
     print_experiment(
         "Risk service: 8 clients x 5 statements, 2 tenants",
         f"served    : {served_s:.2f}s  ({served_qps:.1f} q/s)\n"
+        f"n_jobs=1  : {serial_s:.2f}s  (same server, no worker pool)\n"
         f"baseline  : {baseline_s:.2f}s  ({baseline_qps:.1f} q/s)\n"
         f"speedup   : {speedup:.2f}x   (gate >= 2x)\n"
         f"latency   : p50 {p50 * 1e3:.1f} ms, p99 {p99 * 1e3:.1f} ms "
         f"(admission to result)\n"
         f"det hits  : {hits}\n"
-        f"mismatches: {mismatches} of {total} payloads")
+        f"mismatches: {mismatches} of {2 * total} payloads")
 
     record_metric(BENCH, "served_qps", round(served_qps, 2))
     record_metric(BENCH, "baseline_qps", round(baseline_qps, 2))
+    record_metric(BENCH, "served_pooled_seconds", round(served_s, 3))
+    record_metric(BENCH, "served_serial_seconds", round(serial_s, 3))
     record_metric(BENCH, "throughput_speedup_x", round(speedup, 2),
                   gate=">= 2x vs fresh-session-per-request")
     record_metric(BENCH, "p50_admission_to_result_ms", round(p50 * 1e3, 2))

@@ -21,6 +21,9 @@ point is captured by three gates:
   are pure functions of ``(base_seed, handle, position)``, so
   incrementality is purely an execution-cost optimization.
 
+Also recorded (informational): each bit-identity leg's wall-clock, the
+``n_jobs=1`` serial leg beside the 2-worker process-pool leg.
+
 Run:  python benchmarks/bench_standing.py [--json out.json]
 """
 
@@ -198,7 +201,9 @@ def test_standing_matrix_is_bit_identical():
     identical = 0
     rows = []
     for backend in legs:
-        samples, modes = _matrix_leg(backend)
+        (samples, modes), seconds = timed(_matrix_leg, backend)
+        record_metric("bench_standing", f"matrix_{backend}_seconds",
+                      round(seconds, 3))
         label = f"backend={backend}"
         for got, want in zip(samples[:2], reference[:2]):
             np.testing.assert_array_equal(got, want, err_msg=label)
@@ -209,12 +214,12 @@ def test_standing_matrix_is_bit_identical():
         # every leg must take the incremental path, not a full rerun.
         assert modes == ("delta", "delta"), f"{label}: modes={modes}"
         identical += 1
-        rows.append([backend, *modes, "=="])
+        rows.append([backend, *modes, "==", f"{seconds:.3f}"])
 
     print_experiment(
         "Standing refresh bit-identity vs fresh session (grown table)",
-        format_table(["backend", "mc mode", "tail mode", "vs fresh"],
-                     rows))
+        format_table(["backend", "mc mode", "tail mode", "vs fresh",
+                      "seconds"], rows))
     record_metric("bench_standing", "bit_identical_legs", identical,
                   gate=f"== {len(legs)}")
     assert identical == len(legs)

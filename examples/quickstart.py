@@ -12,7 +12,7 @@ parsed and validated by ``ExecutionOptions.from_env`` — a typo'd value
 fails fast with an ``EngineError`` naming the variable):
   MCDBR_ENGINE=vectorized|reference       Gibbs perturbation kernel
   MCDBR_REPLENISHMENT=delta|full          window-refuel strategy
-  MCDBR_BACKEND=process|thread|serial     shard transport
+  MCDBR_BACKEND=process|serial            shard transport
   MCDBR_N_JOBS=<n>                        shard workers (1 = no sharding)
   MCDBR_SPECULATE_DEPTH=<k>               speculation-chain depth for
                                           sharded tail queries (0 = off)
@@ -26,10 +26,9 @@ from repro.risk import expected_shortfall, value_at_risk
 from repro.sql import Session
 
 # 1. A session and an ordinary parameter table: per-customer mean losses.
-#    The ``with`` block releases the session's worker pool — and, under
-#    the process backend, every shared-memory segment of the zero-copy
-#    data plane — when the analysis ends, even on an exception (with
-#    MCDBR_N_JOBS=1 there is no pool and close is a no-op).
+#    The ``with`` block releases the session's worker pool when the
+#    analysis ends, even on an exception (with MCDBR_N_JOBS=1 there is
+#    no pool and close is a no-op).
 options = ExecutionOptions.from_env()
 with Session(base_seed=2026, tail_budget=1000, window=1000,
              options=options) as session:

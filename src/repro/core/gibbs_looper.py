@@ -199,9 +199,8 @@ def candidate_window_matrices(tuples: list[GibbsTuple],
 
     A *pure* module-level function on purpose: it reads only the Gibbs
     tuples/states passed in (never global looper state), which is what
-    lets the seed-axis sharding ship it to backend workers — by thread
-    (shared references) or by process (pickled copies) — and still land
-    on the same bits the in-process path produces.
+    lets the seed-axis sharding ship it to backend workers as pickled
+    copies and still land on the same bits the in-process path produces.
     """
     width = stop - start
     remaining = slice(first_version, first_version + count)
@@ -316,33 +315,17 @@ class GibbsSeedShard:
     discarded at the end of the looper run — worker seed state can
     therefore never survive a ``Catalog.version`` bump, whose effects
     reach the looper only through a new query or a replenishment.
-
-    Transport note: under the process backend's zero-copy data plane
-    (:mod:`repro.engine.shm`) the snapshot's bulk arrays arrive in the
-    owner as *writable* views over a parent-owned shared-memory segment
-    rather than private unpickled copies.  That is safe precisely
-    because of the ownership story above — the segment copy belongs to
-    this one owner, the parent never reads it back, and every mutation
-    (``apply_commit``/``apply_clone``/``apply_merge``) already happens
-    in place; the segment is unlinked when the state is discarded.
     """
 
     def __init__(self, seeds: dict, aggregate_expr: Expr | None,
-                 final_predicate: Expr | None, speculate: bool = False,
-                 speculate_depth: int = 1, adaptive: bool = False):
+                 final_predicate: Expr | None, speculate_depth: int = 1):
         #: handle -> (gibbs tuples, _TupleStates), this shard's range only.
         self.seeds = seeds
         self.aggregate_expr = aggregate_expr
         self.final_predicate = final_predicate
-        self.speculate = speculate
         #: Chain-length cap (the ``speculate_depth`` knob); the actual
         #: per-seed depth adapts below it, see ``_chain_depth``.
         self.speculate_depth = speculate_depth
-        #: Adaptive sweep scheduling (the looper always sets it): lets
-        #: ``_chain_depth`` fall back to the *previous* perturbation
-        #: call's acceptance counters right after a cursor reset, so hot
-        #: seeds' chains are already warm on the sweep-start scatter.
-        self.adaptive = adaptive
         #: Speculation buffer: handle -> list of (params, epoch,
         #: matrices) entries, each the successor of the one before it
         #: under continued rejection.  Consumed from the head; dead as a
@@ -459,18 +442,17 @@ class GibbsSeedShard:
         next request almost always follows a commit, which re-speculates
         with better information anyway); 1 at the gate, plus one entry
         per further doubling of candidates-consumed-per-version-served,
-        capped at ``speculate_depth``.  Under adaptive sweep scheduling
-        a freshly reset cursor falls back to the previous call's final
-        counters (``_history``), so hot seeds keep deep chains across
-        the sweep boundary instead of re-proving hotness with blocking
-        calls each sweep.  The fallback influences only *whether and how
+        capped at ``speculate_depth``.  A freshly reset cursor falls
+        back to the previous call's final counters (``_history``), so
+        hot seeds keep deep chains across the sweep boundary instead of
+        re-proving hotness with blocking calls each sweep.  The fallback influences only *whether and how
         deep* to pre-compute, never what: entry geometry always derives
         from the live cursor.
         """
         if self.speculate_depth < 1:
             return 0
         consumed_total, served_total = self._call_state[handle][:2]
-        if consumed_total < _SPECULATION_MIN_CONSUMED and self.adaptive:
+        if consumed_total < _SPECULATION_MIN_CONSUMED:
             consumed_total, served_total = self._history.get(handle, (0, 0))
         if consumed_total < _SPECULATION_MIN_CONSUMED or \
                 served_total * _SPECULATION_RATE_DENOM > consumed_total:
@@ -504,7 +486,7 @@ class GibbsSeedShard:
         chain = self._speculation.get(handle)
         if chain is None:
             chain = []
-        depth = self._chain_depth(handle) if self.speculate else 0
+        depth = self._chain_depth(handle)
         if len(chain) < depth:
             consumed_total, served_total, version, stop, _ = \
                 self._call_state[handle]
@@ -807,7 +789,6 @@ class GibbsLooper:
         # acceptance-pressure record that orders scatter requests
         # hottest-first.  Both pure transport: neither moves the
         # Gauss-Seidel seed visit order, which stays ascending-handle.
-        self._batch_casts = False
         self._pending_casts: list[list] = []
         self._seed_pressure: dict[int, int] = {}
         self._batched_notifications = 0
@@ -1271,12 +1252,6 @@ class GibbsLooper:
         """
         backend = self._ensure_backend()
         handles = sorted(self._tuples_of_seed)
-        # Speculation and commit batching need the owners to see the
-        # notification stream (commits/notes drive their bookkeeping);
-        # the thread transport elides casts by design — its "owner" is
-        # the caller's own objects and calls run inline, so there is no
-        # latency to hide and nothing to coalesce.
-        casts_apply = backend.state_casts_apply()
         if self._state_token is None:
             bounds = self.options.shard_bounds(len(handles))
             limit = backend.state_shard_limit()
@@ -1300,14 +1275,11 @@ class GibbsLooper:
                     shard_of[handle] = shard
                 payloads.append(GibbsSeedShard(
                     seeds, self.aggregate_expr, self.final_predicate,
-                    speculate=casts_apply,
-                    speculate_depth=self.options.speculate_depth,
-                    adaptive=True))
+                    speculate_depth=self.options.speculate_depth))
             self._state_token = backend.init_state(payloads)
             self._shard_of_handle = shard_of
             self._state_shard_count = len(bounds)
             self._worker_state_inits += 1
-        self._batch_casts = casts_apply
         if len(self._pending_casts) != self._state_shard_count:
             self._pending_casts = [
                 [] for _ in range(self._state_shard_count)]
@@ -1378,26 +1350,29 @@ class GibbsLooper:
         """
         if self._state_token is None:
             return
-        # Flush, don't drop: the serial mirror's completeness contract
-        # (every notification eventually applied) is what the replay
-        # suites verify, and the final sweep's buffered commits are part
-        # of the stream.
-        self._flush_casts()
-        token, self._state_token = self._state_token, None
-        self._shard_of_handle = {}
-        self._state_shard_count = 0
-        self._scatter_pending = set()
-        self._prefetched_windows = {}
-        self._wasted_speculations += sum(
-            len(chain) for chain in self._speculated.values())
-        self._speculated = {}
-        self._spec_epoch = {}
-        self._batch_casts = False
-        self._pending_casts = []
-        backend = self.backend if self.backend is not None \
-            else self._owned_backend
-        if backend is not None:
-            backend.discard_state(token)
+        try:
+            # Flush, don't drop: the serial mirror's completeness
+            # contract (every notification eventually applied) is what
+            # the replay suites verify, and the final sweep's buffered
+            # commits are part of the stream.
+            self._flush_casts()
+        finally:
+            # The discard runs even when the flush failed: a shared
+            # backend holds its lock for the token until this call.
+            token, self._state_token = self._state_token, None
+            self._shard_of_handle = {}
+            self._state_shard_count = 0
+            self._scatter_pending = set()
+            self._prefetched_windows = {}
+            self._wasted_speculations += sum(
+                len(chain) for chain in self._speculated.values())
+            self._speculated = {}
+            self._spec_epoch = {}
+            self._pending_casts = []
+            backend = self.backend if self.backend is not None \
+                else self._owned_backend
+            if backend is not None:
+                backend.discard_state(token)
 
     def _merge_worker_state(self, old_positions: dict) -> None:
         """Delta state re-init: splice the refuel into the live shards.
@@ -1420,30 +1395,22 @@ class GibbsLooper:
         # Buffered commits index into the pre-refuel window geometry —
         # they must land before the merge re-shapes the mirrors.
         self._flush_casts()
-        # The thread transport's state IS the caller's refreshed objects
-        # (state_merge is a deliberate no-op there) — building the value
-        # payloads would be pure waste, so only the splice *shape* is
-        # derived, keeping the merge counters transport-independent.
-        with_values = backend.state_casts_apply()
         records: list[list] = [[] for _ in range(self._state_shard_count)]
         fresh_slots = self._context.last_fresh_slots
         for handle, shard in self._shard_of_handle.items():
             record = self._merge_record(handle, old_positions[handle],
-                                        fresh_slots.get(handle),
-                                        with_values)
+                                        fresh_slots.get(handle))
             if record is not None:
                 records[shard].append(record)
                 self._merged_positions += record[2]
-        if with_values:
-            for shard, shard_records in enumerate(records):
-                if shard_records:
-                    backend.state_merge(self._state_token, shard,
-                                        "apply_merge", shard_records)
+        for shard, shard_records in enumerate(records):
+            if shard_records:
+                backend.state_merge(self._state_token, shard,
+                                    "apply_merge", shard_records)
         self._worker_state_merges += 1
         self._local_windows = True
 
-    def _merge_record(self, handle: int, old: np.ndarray, fresh_slots,
-                      with_values: bool = True):
+    def _merge_record(self, handle: int, old: np.ndarray, fresh_slots):
         """One handle's splice record, or ``None`` if nothing changed.
 
         ``fresh_slots`` is Instantiate's merged-position delta for the
@@ -1497,17 +1464,16 @@ class GibbsLooper:
                 keep_runs = np.empty((0, 3), dtype=np.int64)
         rand_fresh = []
         pres_fresh = []
-        if with_values:
-            for tuple_index in members:
-                gibbs_tuple = self._tuples[tuple_index]
-                rand_fresh.append({
-                    name: field.values[fresh_dst]
-                    for name, field in gibbs_tuple.rand.items()
-                    if field.handle == handle})
-                pres_fresh.append([
-                    presence.flags[fresh_dst]
-                    for presence in gibbs_tuple.presences
-                    if presence.handle == handle])
+        for tuple_index in members:
+            gibbs_tuple = self._tuples[tuple_index]
+            rand_fresh.append({
+                name: field.values[fresh_dst]
+                for name, field in gibbs_tuple.rand.items()
+                if field.handle == handle})
+            pres_fresh.append([
+                presence.flags[fresh_dst]
+                for presence in gibbs_tuple.presences
+                if presence.handle == handle])
         return (handle, new.size, int(fresh_dst.size), keep_runs,
                 rand_fresh, pres_fresh)
 
@@ -1526,7 +1492,7 @@ class GibbsLooper:
         self._speculated = {}
 
     def _cast_commit(self, shard: int, *args) -> None:
-        """Send — or, where casts apply, buffer — one commit.
+        """Buffer one commit notification for its shard.
 
         Adaptive scheduling coalesces commit notifications per shard
         into a single ``apply_batch`` cast, flushed right before
@@ -1541,15 +1507,11 @@ class GibbsLooper:
         chain buffer, so no note for a seed can be issued while a commit
         for it sits unflushed.
         """
-        if self._batch_casts:
-            self._pending_casts[shard].append(("apply_commit", args))
-        else:
-            self._ensure_backend().state_cast(
-                self._state_token, shard, "apply_commit", *args)
+        self._pending_casts[shard].append(("apply_commit", args))
 
     def _flush_casts(self, shard: int | None = None) -> None:
         """Deliver a shard's (or every shard's) buffered notifications."""
-        if not self._batch_casts or self._state_token is None:
+        if self._state_token is None:
             return
         backend = self._ensure_backend()
         shards = range(len(self._pending_casts)) if shard is None \
@@ -2071,8 +2033,8 @@ class GibbsLooper:
         if keep_state:
             # Collect (and drop) the sweep's uncollected first windows
             # before the re-run: they index into the pre-refuel windows,
-            # and on the thread transport they are still being computed
-            # from the very arrays the refresh below splices in place.
+            # and the next sweep's scatter may not start while a reply
+            # of this state is still pending.
             for shard in sorted(self._scatter_pending):
                 self._ensure_backend().state_collect(self._state_token,
                                                      shard)

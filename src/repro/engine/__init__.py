@@ -29,7 +29,6 @@ from repro.engine.backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.engine.random_table import RandomColumnSpec, RandomTableSpec
@@ -41,7 +40,6 @@ __all__ = [
     "ExecutionOptions",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "make_backend",
     "Catalog",

@@ -11,10 +11,7 @@ bounds, and hand the pair to a backend:
 * :class:`SerialBackend` — runs every shard in-process, in order.  Useful
   to exercise the exact sharded code paths (splitting, merging) without
   any concurrency, and as the reference the equivalence suite compares
-  the real backends against.
-* :class:`ThreadBackend` — a persistent ``ThreadPoolExecutor``.  Jobs are
-  shared by reference (zero pickling); NumPy releases the GIL inside its
-  kernels, so bundle-heavy shards overlap usefully.
+  the process backend against.
 * :class:`ProcessBackend` — a persistent pool of worker *processes*
   owned by the session and reused across queries (cf. the service-level
   scaling of Monte Carlo production in the LCG MCDB, PAPERS.md).  The job
@@ -37,8 +34,8 @@ Shard-job transport contract (only :class:`ProcessBackend` exercises it):
 
 Every backend is results-transparent: ``run_job(job, bounds)`` returns
 ``[job.run_shard(lo, hi) for lo, hi in bounds]`` exactly — same values,
-same order — whatever the transport.  The equivalence suite holds all
-three to that contract.
+same order — whatever the transport.  The equivalence suite holds both
+to that contract.
 
 **Worker-owned state** (the stateful Gibbs protocol).  ``run_job`` is
 stateless: the job is re-shipped every call, which is exactly wrong for
@@ -72,15 +69,12 @@ Sec. 7) and keeps it there:
   transport this is a *barrier*: it drains every in-flight reply of that
   state, so nothing stale can be mistaken for a later query's data.
 
-Per-backend state semantics (all three produce identical results):
+Per-backend state semantics (both produce identical results):
 
 * :class:`SerialBackend` keeps a **pickled mirror** of each payload and
   applies every cast to it — the in-process reference implementation of
   the replay protocol, which is what lets the property-based replay
   suite exercise mirror maintenance without process overhead.
-* :class:`ThreadBackend` holds payloads **by reference**; casts are
-  no-ops because the caller's own mutations are already visible to the
-  shared objects (zero transport, the thread backend's whole point).
 * :class:`ProcessBackend` pickles payloads once at ``init_state`` and
   thereafter ships only the call/cast messages; any worker death or
   in-worker error tears the pool down and surfaces as
@@ -93,15 +87,13 @@ from __future__ import annotations
 import pickle
 import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from multiprocessing import get_context
 from multiprocessing.connection import wait
 
 from repro.engine.errors import EngineError
-from repro.engine.shm import ShmAttachCache, ShmBlockStore, shm_loads
 
 __all__ = [
-    "ExecutionBackend", "SerialBackend", "ThreadBackend", "ProcessBackend",
+    "ExecutionBackend", "SerialBackend", "ProcessBackend",
     "SharedBackend", "make_backend", "catalog_share_key",
 ]
 
@@ -110,9 +102,7 @@ __all__ = [
 _SHARED_CACHE_LIMIT = 8
 
 #: Seconds :meth:`ProcessBackend.close` waits at each escalation step
-#: (stop message -> SIGTERM -> SIGKILL) when the backend was built
-#: without an explicit ``join_timeout``
-#: (``ExecutionOptions.join_timeout`` / ``MCDBR_JOIN_TIMEOUT``).
+#: (stop message -> SIGTERM -> SIGKILL), read at close time.
 #: Module-level so the zombie escalation test can shrink it instead of
 #: wedging a worker for 10s.
 _JOIN_TIMEOUT = 5
@@ -203,19 +193,6 @@ class ExecutionBackend:
         """
         return None
 
-    def state_casts_apply(self) -> bool:
-        """Whether ``state_cast`` actually runs the payload method.
-
-        True for the process transport (the cast ships to the worker)
-        and the serial mirror (the cast replays on the pickled copy);
-        False for the thread transport, whose casts are deliberate
-        no-ops on the caller's shared objects.  Features that *depend*
-        on the notification stream reaching the payload — speculative
-        follow-up prefetch above all — consult this to disable
-        themselves where the stream never arrives.
-        """
-        return True
-
     def init_state(self, payloads: list) -> int:
         """Pin ``payloads[shard]`` on the worker owning each shard."""
         raise NotImplementedError
@@ -238,10 +215,8 @@ class ExecutionBackend:
 
         Same ordering/error semantics as :meth:`state_cast`; the serial
         backend applies it to the pickled mirror (the replayable
-        reference), the thread backend treats it as a no-op on the
-        caller's shared objects, and the process backend ships it while
-        accounting the bytes as re-init rather than notification
-        traffic.
+        reference), and the process backend ships it while accounting
+        the bytes as re-init rather than notification traffic.
         """
         raise NotImplementedError
 
@@ -266,75 +241,7 @@ class ExecutionBackend:
         return False
 
 
-class _InProcessStateStore:
-    """Shared worker-owned-state bookkeeping for the in-process backends.
-
-    Serial and thread transports keep the whole token lifecycle — the
-    token counter, the per-token shard lists, the scattered-reply store,
-    liveness errors, collection and discard-draining — in one place so
-    the two cannot drift; they differ only in what a stored payload *is*
-    (pickled mirror vs live reference), what a scatter entry resolves to
-    (a value vs a future), and whether casts apply.
-    """
-
-    def _init_state_store(self) -> None:
-        self._states: dict[int, list] = {}
-        self._scattered: dict[tuple[int, int], object] = {}
-        self._next_token = 0
-
-    def _store_state(self, payloads: list) -> int:
-        token = self._next_token
-        self._next_token += 1
-        self._states[token] = payloads
-        return token
-
-    def _drop_all_state(self) -> None:
-        # State tokens die with the backend, exactly like the process
-        # transport (where close() kills the workers holding the state).
-        for key in list(self._scattered):
-            self._drain_entry(self._scattered.pop(key))
-        self._states = {}
-
-    def _shard(self, token: int, shard: int):
-        try:
-            return self._states[token][shard]
-        except (KeyError, IndexError):
-            raise _unknown_state_error(token, shard) from None
-
-    def _check_token(self, token: int) -> None:
-        if token not in self._states:
-            raise _unknown_state_error(token)
-
-    def _check_no_pending(self, token: int, shards: int) -> None:
-        for shard in range(shards):
-            if (token, shard) in self._scattered:
-                raise _pending_reply_error(token, shard)
-
-    @staticmethod
-    def _resolve_entry(entry):
-        return entry
-
-    @staticmethod
-    def _drain_entry(entry) -> None:
-        pass
-
-    def state_call(self, token: int, shard: int, method: str, *args):
-        return getattr(self._shard(token, shard), method)(*args)
-
-    def state_collect(self, token: int, shard: int):
-        try:
-            entry = self._scattered.pop((token, shard))
-        except KeyError:
-            raise _no_reply_error(token, shard) from None
-        return self._resolve_entry(entry)
-
-    def discard_state(self, token: int) -> None:
-        for key in [key for key in self._scattered if key[0] == token]:
-            self._drain_entry(self._scattered.pop(key))
-        self._states.pop(token, None)
-
-
-class SerialBackend(_InProcessStateStore, ExecutionBackend):
+class SerialBackend(ExecutionBackend):
     """In-process, in-order execution — the reference transport.
 
     Worker-owned state is held as a **pickled mirror**: ``init_state``
@@ -349,27 +256,45 @@ class SerialBackend(_InProcessStateStore, ExecutionBackend):
     name = "serial"
 
     def __init__(self):
-        self._init_state_store()
+        self._states: dict[int, list] = {}
+        self._scattered: dict[tuple[int, int], object] = {}
+        self._next_token = 0
 
     def run_job(self, job, bounds) -> list:
         return [job.run_shard(lo, hi) for lo, hi in bounds]
 
     def close(self) -> None:
-        self._drop_all_state()
+        # State tokens die with the backend, exactly like the process
+        # transport (where close() kills the workers holding the state).
+        self._states = {}
+        self._scattered = {}
 
     # -- worker-owned state (pickled mirror) --------------------------------
 
+    def _shard(self, token: int, shard: int):
+        try:
+            return self._states[token][shard]
+        except (KeyError, IndexError):
+            raise _unknown_state_error(token, shard) from None
+
     def init_state(self, payloads: list) -> int:
-        return self._store_state([
+        token = self._next_token
+        self._next_token += 1
+        self._states[token] = [
             pickle.loads(pickle.dumps(payload,
                                       protocol=pickle.HIGHEST_PROTOCOL))
-            for payload in payloads])
+            for payload in payloads]
+        return token
+
+    def state_call(self, token: int, shard: int, method: str, *args):
+        return getattr(self._shard(token, shard), method)(*args)
 
     def state_cast(self, token: int, shard: int, method: str, *args) -> None:
         getattr(self._shard(token, shard), method)(*args)
 
     def state_cast_all(self, token: int, method: str, *args) -> None:
-        self._check_token(token)
+        if token not in self._states:
+            raise _unknown_state_error(token)
         for payload in self._states[token]:
             getattr(payload, method)(*args)
 
@@ -384,98 +309,23 @@ class SerialBackend(_InProcessStateStore, ExecutionBackend):
                       per_shard_args: list) -> None:
         # Computed eagerly from the mirror — the mirror is the pre-sweep
         # snapshot either way, so laziness would change nothing.
-        self._check_no_pending(token, len(per_shard_args))
+        for shard in range(len(per_shard_args)):
+            if (token, shard) in self._scattered:
+                raise _pending_reply_error(token, shard)
         for shard, args in enumerate(per_shard_args):
             self._scattered[(token, shard)] = \
                 getattr(self._shard(token, shard), method)(*args)
 
-
-class ThreadBackend(_InProcessStateStore, ExecutionBackend):
-    """Persistent thread pool; jobs shared by reference, never pickled.
-
-    Worker-owned state is likewise held **by reference** — the "worker's"
-    state IS the caller's live objects.  Casts are therefore deliberate
-    no-ops beyond a liveness check: the caller has already applied the
-    mutation to the shared objects, and re-applying a non-idempotent
-    notification (a clone gather, say) would corrupt them.  Only
-    ``state_scatter`` touches the pool — it is the expensive window
-    evaluation; calls and casts run inline on the caller's thread, which
-    also gives the FIFO ordering the protocol promises for free.
-    """
-
-    name = "thread"
-
-    def __init__(self, n_workers: int):
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = n_workers
-        self._pool: ThreadPoolExecutor | None = None
-        self._init_state_store()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_workers,
-                thread_name_prefix="mcdbr-shard")
-        return self._pool
-
-    def run_job(self, job, bounds) -> list:
-        bounds = list(bounds)
-        if len(bounds) <= 1:
-            return [job.run_shard(lo, hi) for lo, hi in bounds]
-        pool = self._ensure_pool()
-        futures = [pool.submit(job.run_shard, lo, hi)
-                   for lo, hi in bounds]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        # Drain scatter work before dropping the references: a live
-        # future must not keep mutating/reading state the caller believes
-        # released (the stale-state leak the lifecycle tests pin down).
-        self._drop_all_state()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    # -- worker-owned state (by reference) ----------------------------------
-
-    def state_casts_apply(self) -> bool:
-        return False
-
-    @staticmethod
-    def _resolve_entry(entry):
-        return entry.result()
-
-    @staticmethod
-    def _drain_entry(entry) -> None:
+    def state_collect(self, token: int, shard: int):
         try:
-            entry.result()  # drain: no work may outlive the state
-        except BaseException:
-            pass
+            return self._scattered.pop((token, shard))
+        except KeyError:
+            raise _no_reply_error(token, shard) from None
 
-    def init_state(self, payloads: list) -> int:
-        return self._store_state(list(payloads))
-
-    def state_cast(self, token: int, shard: int, method: str, *args) -> None:
-        self._shard(token, shard)  # liveness check only: state is shared
-        # by reference, so the caller's own mutation is already visible.
-
-    def state_cast_all(self, token: int, method: str, *args) -> None:
-        self._check_token(token)
-
-    def state_merge(self, token: int, shard: int, method: str,
-                    *args) -> None:
-        self._shard(token, shard)  # liveness check only: the caller's
-        # refresh already spliced the shared window arrays in place, and
-        # re-applying the splice would double-merge them.
-
-    def state_scatter(self, token: int, method: str,
-                      per_shard_args: list) -> None:
-        self._check_no_pending(token, len(per_shard_args))
-        pool = self._ensure_pool()
-        for shard, args in enumerate(per_shard_args):
-            self._scattered[(token, shard)] = pool.submit(
-                getattr(self._shard(token, shard), method), *args)
+    def discard_state(self, token: int) -> None:
+        for key in [key for key in self._scattered if key[0] == token]:
+            del self._scattered[key]
+        self._states.pop(token, None)
 
 
 class _WorkerHandle:
@@ -504,11 +354,6 @@ def _worker_main(conn) -> None:
     jobs: dict[int, object] = {}
     shared: dict[tuple, object] = {}
     states: dict[tuple[int, int], object] = {}
-    # Zero-copy receive side: nested payload blobs ("share"/"sinit"/
-    # "smerge") may carry ShmDescriptor persistent ids; the cache attaches
-    # each named segment once and resolves descriptors to array views.
-    # Plain blobs decode through the same path unchanged.
-    attach_cache = ShmAttachCache()
     while True:
         try:
             message = conn.recv()
@@ -519,7 +364,7 @@ def _worker_main(conn) -> None:
             break
         try:
             if kind == "share":
-                shared[message[1]] = shm_loads(message[2], attach_cache)
+                shared[message[1]] = pickle.loads(message[2])
             elif kind == "unshare":
                 shared.pop(message[1], None)
             elif kind == "job":
@@ -539,7 +384,7 @@ def _worker_main(conn) -> None:
                 # as a real traceback, instead of escaping conn.recv()
                 # and killing the worker loop silently.
                 _, token, shard, blob = message
-                states[(token, shard)] = shm_loads(blob, attach_cache)
+                states[(token, shard)] = pickle.loads(blob)
             elif kind == "scall":
                 _, token, shard, ticket, method, args = message
                 payload = states.get((token, shard))
@@ -549,27 +394,15 @@ def _worker_main(conn) -> None:
                         f"shard={shard}); it was discarded or the pool "
                         "was respawned since init_state")
                 conn.send(("ok", ticket, getattr(payload, method)(*args)))
-            elif kind == "scast":
+            elif kind in ("scast", "smerge"):
+                # A merge is a cast on the wire; its own kind only keeps
+                # the parent's re-init accounting apart.
                 _, token, shard, method, args = message
                 payload = states.get((token, shard))
                 if payload is None:
                     raise EngineError(
                         f"worker holds no state (token={token}, "
                         f"shard={shard}) for notification {method!r}")
-                getattr(payload, method)(*args)
-            elif kind == "smerge":
-                # A state_merge splice.  The args ride as a nested blob
-                # (like "sinit") because the delta's fresh-value arrays
-                # may be shm descriptors: an attach failure must land in
-                # this handler and go back as a traceback, not escape the
-                # loop as a silent worker death.
-                _, token, shard, method, blob = message
-                payload = states.get((token, shard))
-                if payload is None:
-                    raise EngineError(
-                        f"worker holds no state (token={token}, "
-                        f"shard={shard}) for merge {method!r}")
-                args = shm_loads(blob, attach_cache)
                 getattr(payload, method)(*args)
             elif kind == "sdrop":
                 _, token, ticket = message
@@ -589,7 +422,6 @@ def _worker_main(conn) -> None:
                 conn.send(("error", reply_slot, traceback.format_exc()))
             except (BrokenPipeError, OSError):
                 break
-    attach_cache.close()
     conn.close()
 
 
@@ -606,34 +438,20 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, n_workers: int, join_timeout: float | None = None):
+    def __init__(self, n_workers: int):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if join_timeout is not None and not join_timeout > 0:
-            raise ValueError(
-                f"join_timeout must be > 0 or None, got {join_timeout}")
         self.n_workers = n_workers
-        # Per-escalation-step shutdown patience (stop -> SIGTERM ->
-        # SIGKILL).  None defers to the module-level _JOIN_TIMEOUT *at
-        # close() time*, so suites that monkeypatch the module global
-        # keep their grip on backends built before the patch.
-        self._join_timeout = join_timeout
         self._workers: list[_WorkerHandle] = []
         self._next_job_id = 0
         self._next_state_token = 0
         self._next_ticket = 0
-        # key -> (obj, blob, segment name | None, hoisted array bytes)
+        # key -> (obj, blob): the object is pinned so id()-based keys
+        # stay honest, the blob is pickled once and sent to each worker.
         self._shared_cache: dict[tuple, tuple] = {}
         self._state_shards: dict[int, int] = {}      # token -> shard count
         self._scatter_tickets: dict[tuple[int, int], int] = {}
         self._replies: dict[int, object] = {}        # stashed out-of-order
-        # Zero-copy data plane: bulk arrays in shared-channel, state-init
-        # and state-merge payloads are placed in parent-owned shared
-        # memory and shipped as descriptors (repro.engine.shm); the store
-        # itself falls back to whole-payload pickling on hosts where
-        # segment allocation fails.
-        self._shm = ShmBlockStore()
-        self._state_segments: dict[int, list[str]] = {}  # token -> segments
         #: Transport accounting, exposed for the scaling benchmark and the
         #: payload regression tests: ``jobs``/``tasks`` count dispatches,
         #: ``job_bytes`` is the last broadcast blob size, ``task_bytes``
@@ -649,27 +467,11 @@ class ProcessBackend(ExecutionBackend):
         #: splices separately from both the snapshot ships and the
         #: notification stream: the replenishment-transport benchmark
         #: compares them against the full re-init's ``state_init_bytes``.
-        #:
-        #: Zero-copy accounting.  The byte counters above mean *payload
-        #: bytes delivered to a worker* — with the shm data plane on, a
-        #: hoisted array is delivered by reference, so its bytes still
-        #: count (the relative gates of the transport benchmarks keep
-        #: their meaning) while the pipe carries only a descriptor.
-        #: ``shm_segments``/``shm_bytes`` count segments created and
-        #: array bytes placed in them (once, however many workers
-        #: attach); ``shm_attached_bytes`` is the per-recipient share of
-        #: the delivered bytes that rode as descriptors instead of
-        #: pickled copies; ``shared_wire_bytes``/``state_init_wire_bytes``
-        #: are the actual pickled blob sizes of the catalog channel and
-        #: the state snapshots — the pair ``bench_zero_copy`` gates on.
         self.stats = {"jobs": 0, "tasks": 0, "job_bytes": 0, "task_bytes": 0,
                       "shared_pickles": 0, "shared_sends": 0, "spawns": 0,
                       "sent_bytes": 0, "state_inits": 0, "state_init_bytes": 0,
                       "state_calls": 0, "state_casts": 0, "state_msg_bytes": 0,
-                      "state_merges": 0, "state_merge_bytes": 0,
-                      "shm_segments": 0, "shm_bytes": 0,
-                      "shm_attached_bytes": 0, "shared_wire_bytes": 0,
-                      "state_init_wire_bytes": 0}
+                      "state_merges": 0, "state_merge_bytes": 0}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -677,16 +479,6 @@ class ProcessBackend(ExecutionBackend):
     def workers_alive(self) -> int:
         return sum(1 for worker in self._workers
                    if worker.process.is_alive())
-
-    @property
-    def shm_enabled(self) -> bool:
-        """Whether the zero-copy data plane is usable on this host."""
-        return self._shm.available
-
-    @property
-    def shm_live_segments(self) -> int:
-        """Live (not yet unlinked) segments owned by this backend."""
-        return self._shm.live_segments
 
     def worker_pids(self) -> list[int]:
         return [worker.process.pid for worker in self._workers]
@@ -710,20 +502,18 @@ class ProcessBackend(ExecutionBackend):
                 worker.conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
-        join_timeout = self._join_timeout if self._join_timeout is not None \
-            else _JOIN_TIMEOUT
         for worker in self._workers:
-            worker.process.join(timeout=join_timeout)
+            worker.process.join(timeout=_JOIN_TIMEOUT)
             if worker.process.is_alive():
                 worker.process.terminate()
-                worker.process.join(timeout=join_timeout)
+                worker.process.join(timeout=_JOIN_TIMEOUT)
             if worker.process.is_alive():
                 # terminate() is SIGTERM, which a worker wedged in
                 # uninterruptible I/O (or with the signal masked) can
                 # outlive; without this escalation close() would silently
-                # leave a zombie holding every attached segment's pages.
+                # leave a zombie worker (and its memory) behind.
                 worker.process.kill()
-                worker.process.join(timeout=join_timeout)
+                worker.process.join(timeout=_JOIN_TIMEOUT)
             worker.conn.close()
         self._workers = []
         self._shared_cache = {}
@@ -734,15 +524,6 @@ class ProcessBackend(ExecutionBackend):
         self._state_shards = {}
         self._scatter_tickets = {}
         self._replies = {}
-        # Unlink every shared-memory segment with the pool that attached
-        # it — including segments owned by a killed worker's state and
-        # shared-channel entries evicted earlier (retired, not unlinked,
-        # because an eviction cannot know the worker already processed
-        # the original "share").  The dead workers' mappings are gone, so
-        # the pages free immediately; the store itself stays usable for a
-        # lazily respawned pool.
-        self._state_segments = {}
-        self._shm.close()
 
     # -- transport -----------------------------------------------------------
 
@@ -754,20 +535,6 @@ class ProcessBackend(ExecutionBackend):
         shard tasks must never regrow a catalog/plan payload.
         """
         return ("run", job_id, index, lo, hi)
-
-    def _shm_dumps(self, obj, writeable: bool = False) -> tuple:
-        """Pickle a bulk payload, hoisting large arrays into shared memory.
-
-        Returns ``(blob, segment_name, array_bytes)``; the segment is
-        ``None`` (plain pickle, zero hoisted bytes) when the data plane
-        is unavailable on this host or the payload holds no array worth
-        a segment.
-        """
-        blob, segment, array_bytes = self._shm.dumps(obj, writeable=writeable)
-        if segment is not None:
-            self.stats["shm_segments"] += 1
-            self.stats["shm_bytes"] += array_bytes
-        return blob, segment, array_bytes
 
     def _send_shared(self, worker: _WorkerHandle, key: tuple,
                      obj: object) -> None:
@@ -789,15 +556,11 @@ class ProcessBackend(ExecutionBackend):
                         if stale in other.shared_keys:
                             other.shared_keys.discard(stale)
                             other.conn.send(("unshare", stale))
-            blob, segment, array_bytes = self._shm_dumps(obj)
-            self._shared_cache[key] = (obj, blob, segment, array_bytes)
+            blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            self._shared_cache[key] = (obj, blob)
             self.stats["shared_pickles"] += 1
             while len(self._shared_cache) > _SHARED_CACHE_LIMIT:
                 evicted = next(iter(self._shared_cache))
-                # The evicted entry's segment is retired, not unlinked:
-                # a lagging worker may not have processed the original
-                # "share" yet, and unlinking would strand its attach.
-                # close() reaps every retired segment with the pool.
                 del self._shared_cache[evicted]
                 for other in self._workers:
                     if evicted in other.shared_keys:
@@ -805,13 +568,11 @@ class ProcessBackend(ExecutionBackend):
                         other.conn.send(("unshare", evicted))
         if key in worker.shared_keys:
             return
-        _, blob, _, array_bytes = self._shared_cache[key]
+        blob = self._shared_cache[key][1]
         worker.conn.send(("share", key, blob))
         worker.shared_keys.add(key)
         self.stats["shared_sends"] += 1
-        self.stats["sent_bytes"] += len(blob) + array_bytes
-        self.stats["shared_wire_bytes"] += len(blob)
-        self.stats["shm_attached_bytes"] += array_bytes
+        self.stats["sent_bytes"] += len(blob)
 
     def run_job(self, job, bounds) -> list:
         bounds = list(bounds)
@@ -976,20 +737,9 @@ class ProcessBackend(ExecutionBackend):
         self._state_shards[token] = len(payloads)
         self.stats["state_inits"] += 1
         for shard, payload in enumerate(payloads):
-            # Snapshot views attach *writable*: the owning worker mutates
-            # its pinned state in place on commit notifications, and the
-            # segment copy is private to that snapshot (the parent never
-            # reads it back).
-            blob, segment, array_bytes = self._shm_dumps(
-                payload, writeable=True)
-            if segment is not None:
-                self._state_segments.setdefault(token, []).append(segment)
-            sent = self._send_state_message(
+            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            self.stats["state_init_bytes"] += self._send_state_message(
                 self._worker_for(shard), ("sinit", token, shard, blob))
-            self.stats["state_init_bytes"] += sent + array_bytes
-            self.stats["state_init_wire_bytes"] += sent
-            self.stats["shm_attached_bytes"] += array_bytes
-            self.stats["sent_bytes"] += array_bytes
         return token
 
     def _check_token(self, token: int) -> None:
@@ -1020,24 +770,12 @@ class ProcessBackend(ExecutionBackend):
     def state_merge(self, token: int, shard: int, method: str,
                     *args) -> None:
         # Semantically a cast (the worker dispatches on the payload
-        # method, no reply slot), but with its own wire kind: the delta's
-        # fresh-value arrays ride the shm data plane as read-only views
-        # (the worker copies them out while splicing, so the segment can
-        # go with the token), and the accounting splits merge bytes from
-        # per-sweep notifications.
+        # method, no reply slot), but with its own wire kind so the
+        # accounting splits merge bytes from per-sweep notifications.
         self._check_token(token)
         self.stats["state_merges"] += 1
-        blob, segment, array_bytes = self._shm_dumps(args)
-        if segment is not None:
-            # Tied to the token, released at discard_state: the owning
-            # worker attaches when it processes the splice, which FIFO
-            # ordering puts strictly before the acked "sdrop" drain.
-            self._state_segments.setdefault(token, []).append(segment)
-        sent = self._send_state_message(
-            self._worker_for(shard), ("smerge", token, shard, method, blob))
-        self.stats["state_merge_bytes"] += sent + array_bytes
-        self.stats["shm_attached_bytes"] += array_bytes
-        self.stats["sent_bytes"] += array_bytes
+        self.stats["state_merge_bytes"] += self._send_state_message(
+            self._worker_for(shard), ("smerge", token, shard, method, args))
 
     def state_scatter(self, token: int, method: str,
                       per_shard_args: list) -> None:
@@ -1075,7 +813,6 @@ class ProcessBackend(ExecutionBackend):
         diverged mirror must never be silent.
         """
         shards = self._state_shards.pop(token, None)
-        segments = self._state_segments.pop(token, [])
         stale = [self._scatter_tickets.pop(key)
                  for key in [key for key in self._scatter_tickets
                              if key[0] == token]]
@@ -1098,15 +835,6 @@ class ProcessBackend(ExecutionBackend):
                     # Pool already reset (worker death): nothing left to
                     # drain, and nothing new to report.
                     break
-        # The token's snapshot and merge segments go with it.  The acked
-        # drain above is what makes this safe: pipes are FIFO, so every
-        # owning worker attached its views (sinit/smerge) strictly before
-        # acking the sdrop — and if the drain bailed because the pool
-        # died, close() already unlinked everything (release is
-        # idempotent).  Unlink-while-mapped only removes the name; any
-        # worker still holding views keeps its pages.
-        for segment in segments:
-            self._shm.release(segment)
         for ticket in stale:
             self._replies.pop(ticket, None)
         if failure is not None:
@@ -1125,11 +853,16 @@ class SharedBackend(ExecutionBackend):
       two sessions' messages never interleave *within* an operation and
       all parent-side bookkeeping (tickets, reply stash, shared-channel
       cache) stays consistent;
-    * *across* operations, interleaving is already correct by
-      construction: worker-owned state is token-scoped, replies are
-      ticket-addressed (out-of-order arrivals are stashed), and each
-      message's FIFO-ordering obligations are only to its own token's
-      traffic — so concurrent queries simply multiplex the pool;
+    * a worker-owned state holds that lock for its whole life: from
+      ``init_state`` until the same thread's ``discard_state`` of the
+      token, no other thread runs any operation on the pool.  Without
+      this, tenants interleave *between* operations, and a process pool
+      can deadlock: tenant A blocks writing a cast to a worker while
+      holding the lock, that worker blocks writing tenant B's
+      uncollected scatter reply, and B waits for the lock to collect it.
+      The price is that a tail query's Gibbs run owns the pool until it
+      finishes: every other tenant's operation, ``run_job`` included,
+      waits for it;
     * :meth:`close` is reserved for the *owner* (the server): sessions
       holding a shared backend must not tear down a pool other tenants
       are using, which is what ``Session(shared_backend=...)`` enforces
@@ -1148,6 +881,9 @@ class SharedBackend(ExecutionBackend):
             raise ValueError("SharedBackend cannot wrap a SharedBackend")
         self.inner = inner
         self._lock = threading.RLock()
+        #: Live tokens, each holding one level of ``_lock``.  Only the
+        #: thread owning the lock can have any, so this needs no guard.
+        self._held: set[int] = set()
 
     @property
     def stats(self):
@@ -1165,12 +901,15 @@ class SharedBackend(ExecutionBackend):
     def state_shard_limit(self) -> int | None:
         return self.inner.state_shard_limit()
 
-    def state_casts_apply(self) -> bool:
-        return self.inner.state_casts_apply()
-
     def init_state(self, payloads: list) -> int:
-        with self._lock:
-            return self.inner.init_state(payloads)
+        self._lock.acquire()
+        try:
+            token = self.inner.init_state(payloads)
+        except BaseException:
+            self._lock.release()
+            raise
+        self._held.add(token)
+        return token
 
     def state_call(self, token: int, shard: int, method: str, *args):
         with self._lock:
@@ -1200,7 +939,12 @@ class SharedBackend(ExecutionBackend):
 
     def discard_state(self, token: int) -> None:
         with self._lock:
-            self.inner.discard_state(token)
+            try:
+                self.inner.discard_state(token)
+            finally:
+                if token in self._held:
+                    self._held.discard(token)
+                    self._lock.release()
 
 
 def make_backend(options) -> ExecutionBackend:
@@ -1212,10 +956,6 @@ def make_backend(options) -> ExecutionBackend:
     """
     if options.backend == "serial":
         return SerialBackend()
-    if options.backend == "thread":
-        return ThreadBackend(options.n_jobs)
     if options.backend == "process":
-        return ProcessBackend(
-            options.n_jobs,
-            join_timeout=getattr(options, "join_timeout", None))
+        return ProcessBackend(options.n_jobs)
     raise ValueError(f"unknown backend {options.backend!r}")

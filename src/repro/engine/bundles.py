@@ -18,13 +18,8 @@ MCDB computes per-repetition query results.  In tail mode positions are
 assigned to database versions per seed by the Gibbs sampler, so any
 cross-seed combination must be deferred to the GibbsLooper.
 
-These ``(T,)``/``(T, W)`` arrays are exactly the bulk the process
-backend's zero-copy data plane (``repro.engine.shm``) hoists into shared
-memory when relations cross to workers on the catalog channel: a column
-arriving in a worker may therefore be a *read-only* view over a
-parent-owned segment.  Bundle code treats shipped columns as immutable
-inputs everywhere (new arrays are built per evaluation, never written
-back into a source column), which is what makes the shared mapping safe.
+Bundle code treats its input columns as immutable everywhere: new arrays
+are built per evaluation, never written back into a source column.
 """
 
 from __future__ import annotations

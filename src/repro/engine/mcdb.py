@@ -135,7 +135,7 @@ class MonteCarloExecutor:
         #: under the *process* backend workers are pre-warmed with a
         #: snapshot of this cache at broadcast time — once per query, not
         #: once per shard task — and worker-local fills never flow back;
-        #: under the *thread* backend shards share this very object, so
+        #: under the *serial* backend shards share this very object, so
         #: their fills are immediately visible to later queries.
         self.det_cache = det_cache
         #: Persistent :class:`~repro.engine.backends.ExecutionBackend` to

@@ -24,8 +24,9 @@ enforced by ``tests/test_engine_equivalence.py``.
 
 * ``backend`` selects *where* shards run
   (:mod:`repro.engine.backends`): ``"process"`` (persistent worker pool,
-  broadcast-once job transport), ``"thread"``, or ``"serial"`` (the
-  sharded code paths without any concurrency).  Sharded tail queries pin
+  broadcast-once job transport) or ``"serial"`` (the sharded code paths
+  without any concurrency, the reference the equivalence suite checks
+  the pool against).  Sharded tail queries pin
   each TS-seed handle range's tuples/states on its owning worker across
   sweeps (:class:`~repro.core.gibbs_looper.GibbsSeedShard`).
 
@@ -51,9 +52,8 @@ ENGINES = ("vectorized", "reference")
 
 #: Shard transports (see :mod:`repro.engine.backends`).  ``"process"``
 #: (default) is a persistent worker pool reused across a session's
-#: queries; ``"thread"`` a persistent thread pool; ``"serial"`` runs the
-#: sharded code paths in-process, in order.
-BACKENDS = ("process", "thread", "serial")
+#: queries; ``"serial"`` runs the sharded code paths in-process, in order.
+BACKENDS = ("process", "serial")
 
 #: Replenishment strategies (Sec. 9).  ``"delta"`` materializes only stream
 #: positions that were never produced before and merges them into the
@@ -78,7 +78,7 @@ _ENV_FALSE = ("0", "false", "no", "off")
 _ENV_KNOBS = frozenset((
     "MCDBR_ENGINE", "MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE",
     "MCDBR_REPLENISHMENT", "MCDBR_DET_CACHE", "MCDBR_WINDOW_GROWTH",
-    "MCDBR_SPECULATE_DEPTH", "MCDBR_JOIN_TIMEOUT",
+    "MCDBR_SPECULATE_DEPTH",
     # Risk-service front-end knobs (repro.server), parsed by
     # ServerOptions.from_env — registered here so ExecutionOptions.from_env
     # running inside the server process doesn't reject them as typos.
@@ -164,7 +164,7 @@ class ExecutionOptions:
     backend:
         Shard transport: ``"process"`` (persistent worker pool owned by
         the session, job broadcast once, ``(job_id, lo, hi)`` shard
-        tasks), ``"thread"`` or ``"serial"``.  Inert while
+        tasks) or ``"serial"``.  Inert while
         ``n_jobs == 1``.
     shard_size:
         Optional maximum repetitions (or seeds, on the tail path) per
@@ -205,12 +205,6 @@ class ExecutionOptions:
         disables speculation.  Every chain entry is guarded by an exact
         ``(params, epoch)`` match, so results are bit-identical at any
         depth.
-    join_timeout:
-        Seconds :meth:`ProcessBackend.close` waits at each shutdown
-        escalation step (stop message -> SIGTERM -> SIGKILL); ``None``
-        (default) uses the library default of 5 seconds.  Useful to
-        shrink teardown latency in fault-injection tests or supervised
-        deployments.
     """
 
     engine: str = "vectorized"
@@ -221,7 +215,6 @@ class ExecutionOptions:
     det_cache: str = "session"
     window_growth: float = 1.0
     speculate_depth: int = 4
-    join_timeout: float | None = None
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -252,10 +245,6 @@ class ExecutionOptions:
             raise ValueError(
                 f"speculate_depth must be an integer >= 0, got "
                 f"{self.speculate_depth!r}")
-        if self.join_timeout is not None and not self.join_timeout > 0:
-            raise ValueError(
-                f"join_timeout must be > 0 or None, got "
-                f"{self.join_timeout}")
 
     @classmethod
     def from_env(cls, **overrides) -> "ExecutionOptions":
@@ -274,13 +263,12 @@ class ExecutionOptions:
         =========================  ======================================
         ``MCDBR_ENGINE``           ``vectorized|reference``
         ``MCDBR_N_JOBS``           integer >= 1
-        ``MCDBR_BACKEND``          ``process|thread|serial``
+        ``MCDBR_BACKEND``          ``process|serial``
         ``MCDBR_SHARD_SIZE``       integer >= 1 (unset = even split)
         ``MCDBR_REPLENISHMENT``    ``delta|full``
         ``MCDBR_DET_CACHE``        ``session|context|off``
         ``MCDBR_WINDOW_GROWTH``    number >= 1.0
         ``MCDBR_SPECULATE_DEPTH``  integer >= 0 (max chain length)
-        ``MCDBR_JOIN_TIMEOUT``     number > 0 seconds (unset = 5s)
         =========================  ======================================
 
         Unrecognized ``MCDBR_*`` variables are rejected too: a
@@ -307,8 +295,6 @@ class ExecutionOptions:
                                  DET_CACHE_MODES),
             window_growth=env_float("MCDBR_WINDOW_GROWTH", 1.0, 1.0),
             speculate_depth=env_int("MCDBR_SPECULATE_DEPTH", 4, minimum=0),
-            join_timeout=(env_float("MCDBR_JOIN_TIMEOUT", 5.0, 1e-3)
-                          if "MCDBR_JOIN_TIMEOUT" in os.environ else None),
         )
         known = {field.name for field in fields(cls)}
         unknown = set(overrides) - known

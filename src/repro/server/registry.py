@@ -13,7 +13,8 @@ so two tenants issuing the same SQL over same-named tables produce equal
 fingerprints — which is exactly why the caches are per-session objects:
 equal keys in disjoint caches cannot collide.  The shared pool is safe
 to multiplex because shard jobs are self-contained (the executor pickles
-its own catalog snapshot) and worker-owned state is token-scoped — see
+its own catalog snapshot) and a tenant's worker-owned state holds the
+pool to itself until it is discarded — see
 :class:`~repro.engine.backends.SharedBackend`.
 
 Eviction frees a tenant's resources *now*: ``close()`` detaches the

@@ -323,7 +323,7 @@ class Session:
     #: of them through the :attr:`options` setter while a session-owned
     #: pool is live closes that pool so the next sharded query respawns
     #: it under the new configuration.
-    _BACKEND_KNOBS = ("backend", "n_jobs", "join_timeout")
+    _BACKEND_KNOBS = ("backend", "n_jobs")
 
     def __init__(self, base_seed: int = 0, registry: VGRegistry | None = None,
                  tail_budget: int = 1000, window: int = 1000,
@@ -369,7 +369,7 @@ class Session:
 
         Assignable: dependent state follows the change instead of
         silently staying frozen at first use: changing any pool knob
-        (``backend``/``n_jobs``/``join_timeout``) closes a live
+        (``backend``/``n_jobs``) closes a live
         session-owned pool so the next sharded query respawns it with the
         new configuration.  A session running on a *shared* backend (a
         server-owned pool) refuses pool-knob changes with
@@ -421,9 +421,8 @@ class Session:
         a later sharded query simply spawns a fresh pool).  Any
         worker-owned Gibbs state dies with the workers: state tokens from
         before the close can never resolve against the respawned pool.
-        On the process backend this also unlinks every shared-memory
-        segment of the zero-copy data plane — exiting the session's
-        ``with`` block leaves ``/dev/shm`` clean even on an exception.
+        Exiting the session's ``with`` block therefore leaves no worker
+        process behind, even on an exception.
 
         A session handed a *shared* backend detaches from it without
         closing it: the owning server decides when the pool dies.

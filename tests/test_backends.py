@@ -28,6 +28,8 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ import pytest
 from repro.core.gibbs_looper import GibbsLooper
 from repro.core.params import TailParams
 from repro.engine.backends import (
-    ProcessBackend, SerialBackend, ThreadBackend, catalog_share_key,
+    ProcessBackend, SerialBackend, SharedBackend, catalog_share_key,
     make_backend)
 from repro.engine.errors import EngineError
 from repro.engine.expressions import col, lit
@@ -43,12 +45,11 @@ from repro.engine.mcdb import AggregateSpec, MonteCarloExecutor
 from repro.engine.operators import Select, random_table_pipeline
 from repro.engine.options import ExecutionOptions
 from repro.engine.random_table import RandomColumnSpec, RandomTableSpec
-from repro.engine.shm import leaked_segments
 from repro.engine.table import Catalog, Table
 from repro.sql import Session
 from repro.vg.builtin import NORMAL
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 class SpanJob:
@@ -200,32 +201,7 @@ class TestOptionsValidation:
 
     def test_make_backend_dispatch(self):
         assert isinstance(_make_backend("serial"), SerialBackend)
-        assert isinstance(_make_backend("thread"), ThreadBackend)
         assert isinstance(_make_backend("process"), ProcessBackend)
-
-    @pytest.mark.parametrize("bad", [0, -1.0, float("nan")])
-    def test_join_timeout_must_be_positive(self, bad):
-        with pytest.raises(ValueError, match="join_timeout"):
-            ProcessBackend(1, join_timeout=bad)
-        with pytest.raises(ValueError, match="join_timeout"):
-            ExecutionOptions(join_timeout=bad)
-
-    def test_join_timeout_flows_from_options_to_backend(self):
-        backend = make_backend(
-            ExecutionOptions(backend="process", join_timeout=2.5))
-        try:
-            assert backend._join_timeout == 2.5
-        finally:
-            backend.close()
-
-    def test_join_timeout_defaults_to_module_global(self):
-        # None defers to backends._JOIN_TIMEOUT at close() time so test
-        # suites that monkeypatch the global keep their grip.
-        backend = make_backend(ExecutionOptions(backend="process"))
-        try:
-            assert backend._join_timeout is None
-        finally:
-            backend.close()
 
 
 class TestResultsTransparency:
@@ -489,12 +465,12 @@ class TestDetCacheShardSemantics:
         serial.execute(self.MC_QUERY)
         assert len(serial.det_cache) > 0
 
-    def test_thread_shards_share_the_live_session_cache(self):
-        """The thread transport has the opposite — also intended —
+    def test_serial_shards_share_the_live_session_cache(self):
+        """The serial transport has the opposite — also intended —
         semantics: shards hold the session cache by reference, so their
         fills persist and later queries hit them."""
         with self._session(ExecutionOptions(
-                n_jobs=2, backend="thread")) as session:
+                n_jobs=2, backend="serial")) as session:
             session.execute(self.MC_QUERY)
             assert len(session.det_cache) > 0
             session.det_cache.hits = 0
@@ -691,28 +667,16 @@ class TestWorkerStateProtocol:
 
     def test_state_merge_semantics_per_backend(self):
         """``state_merge`` is a splice verb: the serial mirror applies it
-        (the replayable reference), the thread transport must NOT
-        re-apply it to the caller's shared objects (the caller's own
-        refresh already did), and the process transport accounts its
-        bytes as re-init rather than notification traffic."""
+        (the replayable reference), and the process transport accounts
+        its bytes as re-init rather than notification traffic."""
         payload = LedgerState("m", [1])
         serial = SerialBackend()
         token = serial.init_state([payload])
         serial.state_merge(token, 0, "record", 10)
         assert serial.state_call(token, 0, "total") == ("m", 11)
         assert payload.entries == [1]  # caller's object untouched
-
-        shared = LedgerState("t", [1])
-        thread = ThreadBackend(2)
-        try:
-            token = thread.init_state([shared])
-            shared.record(10)  # the caller's refresh IS the merge
-            thread.state_merge(token, 0, "record", 10)
-            assert thread.state_call(token, 0, "total") == ("t", 11)
-            with pytest.raises(EngineError, match="unknown worker state"):
-                thread.state_merge(99, 0, "record", 1)
-        finally:
-            thread.close()
+        with pytest.raises(EngineError, match="unknown worker state"):
+            serial.state_merge(99, 0, "record", 1)
 
         process = ProcessBackend(2)
         try:
@@ -728,22 +692,6 @@ class TestWorkerStateProtocol:
         finally:
             process.close()
 
-    def test_thread_state_is_shared_by_reference(self):
-        """The thread backend holds the live object: the caller's own
-        mutations are the state, and casts are deliberate no-ops (they
-        would double-apply)."""
-        payload = LedgerState("t", [1])
-        backend = ThreadBackend(2)
-        try:
-            token = backend.init_state([payload])
-            payload.record(41)  # caller applies; cast must not re-apply
-            backend.state_cast(token, 0, "record", 41)
-            assert backend.state_call(token, 0, "total") == ("t", 42)
-            backend.state_scatter(token, "span", [(0, 2)])
-            assert backend.state_collect(token, 0) == ("t", [1, 41])
-        finally:
-            backend.close()
-
 
 class TestWorkerStateFaults:
     """Fault injection: every failure is a clean EngineError + pool reset."""
@@ -752,11 +700,12 @@ class TestWorkerStateFaults:
         backend = ProcessBackend(2)
         try:
             token = backend.init_state([ExplodingState(), ExplodingState()])
+            processes = [worker.process for worker in backend._workers]
             assert backend.state_call(token, 0, "ok") == "fine"
             with pytest.raises(EngineError, match="state op exploded"):
                 backend.state_call(token, 1, "boom")
             assert backend.workers_alive == 0  # pool reset, no stale replies
-            assert leaked_segments() == []  # reset reaped its segments too
+            assert not any(process.is_alive() for process in processes)
             fresh = backend.init_state([ExplodingState()])  # respawns
             assert backend.state_call(fresh, 0, "ok") == "fine"
         finally:
@@ -814,9 +763,6 @@ class TestWorkerStateFaults:
             with pytest.raises(EngineError, match="died"):
                 backend.state_call(token, 1, "die")
             assert backend.workers_alive == 0
-            # The killed worker can't unmap gracefully, but the parent
-            # owns every segment name: the reset must unlink them all.
-            assert leaked_segments() == []
             fresh = backend.init_state([SuicidalState()])
             assert backend.state_call(fresh, 0, "ok") == "alive"
         finally:
@@ -828,12 +774,15 @@ class TestWorkerStateFaults:
             token = backend.init_state([LedgerState("a", [1]),
                                         LedgerState("b", [2])])
             assert backend.state_call(token, 0, "total") == ("a", 1)
-            backend._workers[0].process.terminate()
-            backend._workers[0].process.join()
+            processes = [worker.process for worker in backend._workers]
+            processes[0].terminate()
+            processes[0].join()
             with pytest.raises(EngineError, match="died"):
                 for _ in range(3):  # first send may land in the dead pipe
                     backend.state_call(token, 0, "total")
             assert backend.workers_alive == 0
+            # The reset stopped the surviving worker too.
+            assert not any(process.is_alive() for process in processes)
         finally:
             backend.close()
 
@@ -849,7 +798,6 @@ class TestWorkerStateFaults:
             backend.close()
             backend.close()  # idempotent
             assert backend.workers_alive == 0
-            assert backend.shm_live_segments == 0  # close unlinks everything
             with pytest.raises(EngineError, match="unknown worker state"):
                 backend.state_call(token, 0, "total")
             assert backend.workers_alive == 0  # no silent lazy respawn
@@ -859,12 +807,11 @@ class TestWorkerStateFaults:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("backend_name", ["serial", "thread"])
-    def test_in_process_backends_drop_state_on_close(self, backend_name):
-        """The stale-state leak fix: in-process backends must not keep
+    def test_serial_backend_drops_state_on_close(self):
+        """The stale-state leak fix: the serial backend must not keep
         payload references alive across close() — a token from before
         the close can never resolve again."""
-        backend = _make_backend(backend_name)
+        backend = SerialBackend()
         token = backend.init_state([LedgerState("a", [1]),
                                     LedgerState("b", [2])])
         assert backend.state_call(token, 1, "total") == ("b", 2)
@@ -918,7 +865,6 @@ class TestWorkerStateQueryFaults:
             with pytest.raises(EngineError):
                 session.execute(self.TAIL_QUERY)
             assert session.backend.workers_alive == 0  # pool torn down
-            assert leaked_segments() == []  # ...with its shm segments
             monkeypatch.undo()  # fresh workers fork from healthy code
             recovered = session.execute(self.TAIL_QUERY)
             np.testing.assert_array_equal(recovered.tail.samples,
@@ -1003,3 +949,201 @@ class TestWorkerStateTransport:
                 result.worker_state_inits
         finally:
             backend.close()
+
+
+class StuckState:
+    """Wedges its worker: ignores SIGTERM, then blocks far past the
+    (shrunken, see test) close() join timeouts."""
+
+    def wedge(self):
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        time.sleep(600)
+
+
+class TestPoolLifecycle:
+    """Every teardown path leaves no worker alive.
+
+    ``workers_alive`` counts the pool's *current* handles, which a reset
+    empties, so these tests keep the original process handles and check
+    each of them directly (the fault-reset cases live in
+    :class:`TestWorkerStateFaults`).
+    """
+
+    @staticmethod
+    def _processes(backend):
+        return [worker.process for worker in backend._workers]
+
+    def test_close_stops_every_worker(self):
+        backend = ProcessBackend(2)
+        array = np.arange(30_000, dtype=np.float64)
+        backend.run_job(SharedArrayJob(("t", 1), array),
+                        [(0, 15_000), (15_000, 30_000)])
+        backend.init_state([LedgerState("a", [1]), LedgerState("b", [2])])
+        processes = self._processes(backend)
+        backend.close()  # token never discarded: close must still stop all
+        assert backend.workers_alive == 0
+        assert not any(process.is_alive() for process in processes)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="wedge injection relies on fork inheriting the test class")
+    def test_close_escalates_to_kill_for_sigterm_immune_workers(
+            self, monkeypatch):
+        """A worker that shrugs off SIGTERM must not survive close() as a
+        zombie: close escalates to SIGKILL."""
+        from repro.engine import backends as backends_module
+        monkeypatch.setattr(backends_module, "_JOIN_TIMEOUT", 0.2)
+        backend = ProcessBackend(1)
+        try:
+            token = backend.init_state([StuckState()])
+            backend.state_cast(token, 0, "wedge")  # fire-and-forget
+            victim = backend._workers[0].process
+            backend.close()
+            assert not victim.is_alive()
+            assert backend.workers_alive == 0
+        finally:
+            backend.close()
+
+    def test_session_close_stops_every_worker(self):
+        with Session(base_seed=11, tail_budget=200, window=2000,
+                     options=ExecutionOptions(n_jobs=2)) as session:
+            session.add_table("means", {
+                "CID": np.arange(15), "m": np.linspace(1.0, 3.0, 15)})
+            session.execute(TestDetCacheShardSemantics.CREATE)
+            session.execute(TestWorkerStateQueryFaults.TAIL_QUERY)
+            processes = self._processes(session.backend)
+            assert processes and all(p.is_alive() for p in processes)
+        assert not any(process.is_alive() for process in processes)
+
+
+class _FailingDiscard(SerialBackend):
+    def discard_state(self, token):
+        super().discard_state(token)
+        raise EngineError("discard drained a worker error")
+
+
+class TestSharedBackendLock:
+    """A live state token owns the shared pool until its discard.
+
+    Tenants that interleave *between* operations can deadlock a process
+    pool (a cast blocked on a worker that is itself blocked writing
+    another tenant's uncollected scatter reply), so the lock spans the
+    token's whole life.  These tests run on the serial backend: the lock
+    is the wrapper's, whatever the transport.
+    """
+
+    WAIT = 0.3  # seconds a blocked thread is given to (wrongly) finish
+
+    @staticmethod
+    def _start(target):
+        done = threading.Event()
+
+        def run():
+            target()
+            done.set()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return thread, done
+
+    def test_live_token_blocks_other_threads_until_discard(self):
+        shared = SharedBackend(SerialBackend())
+        token = shared.init_state([LedgerState("a", [1])])
+        results = {}
+
+        def other_tenant_job():
+            results["job"] = shared.run_job(SpanJob(), [(0, 2), (2, 3)])
+
+        def other_tenant_state():
+            other = shared.init_state([LedgerState("b", [2])])
+            results["state"] = shared.state_call(other, 0, "total")
+            shared.discard_state(other)
+
+        job_thread, job_done = self._start(other_tenant_job)
+        state_thread, state_done = self._start(other_tenant_state)
+        assert not job_done.wait(self.WAIT)
+        assert not state_done.wait(self.WAIT)
+        # The owning thread's own operations re-enter the lock freely.
+        shared.state_cast(token, 0, "record", 41)
+        assert shared.state_call(token, 0, "total") == ("a", 42)
+        assert results == {}
+        shared.discard_state(token)
+        job_thread.join(10)
+        state_thread.join(10)
+        assert job_done.is_set() and state_done.is_set()
+        assert results == {"job": [[0, 1], [2]], "state": ("b", 2)}
+
+    def test_failed_init_state_releases_the_lock(self):
+        shared = SharedBackend(SerialBackend())
+        with pytest.raises(Exception):
+            shared.init_state([lambda: None])  # cannot be pickled
+        thread, done = self._start(
+            lambda: shared.run_job(SpanJob(), [(0, 1)]))
+        assert done.wait(10)
+        thread.join()
+
+    def test_failed_discard_still_releases_the_lock(self):
+        shared = SharedBackend(_FailingDiscard())
+        token = shared.init_state([LedgerState("a", [1])])
+        with pytest.raises(EngineError, match="discard drained"):
+            shared.discard_state(token)
+        with pytest.raises(EngineError, match="discard drained"):
+            shared.discard_state(token)  # a repeat releases nothing more
+        thread, done = self._start(
+            lambda: shared.run_job(SpanJob(), [(0, 1)]))
+        assert done.wait(10)
+        thread.join()
+
+
+def _shmem_kb(pid: int) -> int:
+    with open(f"/proc/{pid}/status", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith("RssShmem:"):
+                return int(line.split()[1])
+    return 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads worker memory from /proc")
+class TestBoundedResources:
+    """An append-churning pooled session holds no shared memory.
+
+    Each append bumps the catalog version, so every round re-ships the
+    catalog to the workers.  The pool must carry that as plain pickles:
+    no ``/dev/shm`` segment may appear and no worker may map shared
+    pages, however many rounds run.
+    """
+
+    MC_QUERY = """
+        SELECT SUM(val) AS loss FROM Losses
+        WITH RESULTDISTRIBUTION MONTECARLO(40)
+    """
+    TAIL_QUERY = """
+        SELECT SUM(val) AS loss FROM Losses WHERE CID < 40
+        WITH RESULTDISTRIBUTION MONTECARLO(20)
+        DOMAIN loss >= QUANTILE(0.9)
+    """
+
+    def test_append_churn_maps_no_shm(self):
+        rows = 1_000
+        rng = np.random.default_rng(5)
+        with Session(base_seed=7, tail_budget=100, window=400,
+                     options=ExecutionOptions(n_jobs=2)) as session:
+            session.add_table("means", {
+                "CID": np.arange(rows), "m": rng.uniform(0.5, 3.0, rows)})
+            session.execute(TestDetCacheShardSemantics.CREATE)
+            for round_ in range(30):
+                start = rows + 10 * round_
+                session.append("means", {
+                    "CID": np.arange(start, start + 10),
+                    "m": rng.uniform(0.5, 3.0, 10)})
+                session.execute(self.MC_QUERY)
+                if round_ % 5 == 4:
+                    session.execute(self.TAIL_QUERY)
+                segments = sorted(name for name in os.listdir("/dev/shm")
+                                  if name.startswith("mcdbr-")) \
+                    if os.path.isdir("/dev/shm") else []
+                assert segments == [], f"round {round_}: {segments}"
+                pids = session.backend.worker_pids()
+                assert pids
+                assert [_shmem_kb(pid) for pid in pids] == [0] * len(pids)

@@ -7,13 +7,10 @@ seed, on randomized plans and seeds.  Likewise the sharded Monte Carlo
 executor must be invariant to ``n_jobs`` and shard geometry, and every
 ``engine × n_jobs × backend × replenishment × speculate_depth ×
 window_growth × det_cache`` combination — including seed-axis-sharded
-GibbsLooper runs with worker-owned state replaying commit notifications,
-with shared memory and on its allocation-failure fallback — must be
-bit-identical to the serial reference.  Nothing here is
+GibbsLooper runs with worker-owned state replaying commit notifications —
+must be bit-identical to the serial reference.  Nothing here is
 approximate: every comparison is exact.
 """
-
-import errno
 
 import numpy as np
 import pytest
@@ -22,20 +19,18 @@ from hypothesis import strategies as st
 
 from repro.core.gibbs_looper import GibbsLooper
 from repro.core.params import TailParams
-from repro.engine import shm as shm_module
 from repro.engine.expressions import col, lit
 from repro.engine.mcdb import AggregateSpec, MonteCarloExecutor
 from repro.engine.operators import (
     Join, Scan, Select, Split, random_table_pipeline)
 from repro.engine.options import ExecutionOptions
 from repro.engine.random_table import RandomColumnSpec, RandomTableSpec
-from repro.engine.shm import leaked_segments
 from repro.engine.table import Catalog, Table
 from repro.sql import Session
 from repro.vg.builtin import DISCRETE_CHOICE, NORMAL
 
 ENGINES = ("reference", "vectorized")
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _losses_catalog(customers):
@@ -609,56 +604,6 @@ class TestBackendMatrix:
                               **kwargs))
 
 
-class TestZeroCopyFallbackEquivalence:
-    """The zero-copy data plane degrades by itself: when shared-memory
-    allocation fails, payloads ship as whole pickles instead of segment
-    descriptors.  That moves bytes between transports, never values — so
-    a process-backend run forced onto the fallback must land on the same
-    bits as the serial reference and as the shared-memory run."""
-
-    _runner = TestLooperEquivalence()
-    GIBBS = TestBackendMatrix.GIBBS
-
-    @staticmethod
-    def _refuse_allocation(monkeypatch):
-        real_shared_memory = shm_module.shared_memory.SharedMemory
-
-        def refuse_creation(*args, create=False, **kwargs):
-            if create:
-                raise OSError(errno.ENOSPC, "shared memory exhausted")
-            return real_shared_memory(*args, create=create, **kwargs)
-
-        monkeypatch.setattr(shm_module.shared_memory, "SharedMemory",
-                            refuse_creation)
-
-    @pytest.mark.parametrize("speculate_depth", [0, 4])
-    @pytest.mark.parametrize("replenishment", ["delta", "full"])
-    def test_gibbs_tail_fallback_equals_shm(self, monkeypatch,
-                                            replenishment, speculate_depth):
-        kwargs = dict(replenishment=replenishment,
-                      speculate_depth=speculate_depth, **self.GIBBS)
-        serial = self._runner._run("vectorized", backend="serial", **kwargs)
-        shm_run = self._runner._run("vectorized", n_jobs=2,
-                                    backend="process", **kwargs)
-        self._refuse_allocation(monkeypatch)
-        fallback = self._runner._run("vectorized", n_jobs=2,
-                                     backend="process", **kwargs)
-        _assert_identical(serial, shm_run)
-        _assert_identical(shm_run, fallback)
-        assert fallback.sharded_windows > 0
-        assert leaked_segments() == []
-
-    def test_monte_carlo_fallback_equals_shm(self, monkeypatch):
-        serial = TestMonteCarloSharding._executor().run(120)
-        options = ExecutionOptions(n_jobs=2, backend="process")
-        shm_run = TestMonteCarloSharding._executor(options).run(120)
-        self._refuse_allocation(monkeypatch)
-        fallback = TestMonteCarloSharding._executor(options).run(120)
-        TestMonteCarloSharding._assert_results_equal(serial, shm_run)
-        TestMonteCarloSharding._assert_results_equal(serial, fallback)
-        assert leaked_segments() == []
-
-
 class TestWorkerStateReplay:
     """The worker-owned-state replay gate.
 
@@ -857,16 +802,6 @@ class TestDeltaStateReinit:
         assert speculated.speculated_windows > 0  # buffer really served
         assert speculated.followup_windows >= \
             speculated.speculated_windows
-
-    def test_thread_backend_never_speculates(self):
-        """The thread transport elides casts, so the owners never see
-        the notification stream speculation depends on — it must be
-        disabled there (results identical regardless)."""
-        serial = self._run_skewed()
-        threaded = self._run_skewed(n_jobs=2, backend="thread")
-        _assert_identical(serial, threaded)
-        assert threaded.speculated_windows == 0
-        assert threaded.wasted_speculations == 0
 
     def test_merge_and_speculation_notifications_flow(self, monkeypatch):
         """White-box: the delta re-init and speculation paths must run —

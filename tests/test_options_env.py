@@ -23,12 +23,12 @@ from repro.engine.options import (
 ALL_KNOBS = (
     "MCDBR_ENGINE", "MCDBR_N_JOBS", "MCDBR_BACKEND", "MCDBR_SHARD_SIZE",
     "MCDBR_REPLENISHMENT", "MCDBR_DET_CACHE", "MCDBR_WINDOW_GROWTH",
-    "MCDBR_SPECULATE_DEPTH", "MCDBR_JOIN_TIMEOUT")
+    "MCDBR_SPECULATE_DEPTH")
 
 #: Knobs of execution modes that no longer exist.  A deployment still
 #: setting one must fail loudly instead of silently running the default.
 RETIRED_KNOBS = ("GIBBS_STATE", "STATE_REINIT", "SPECULATE", "SWEEP_ORDER",
-                 "SHM", "DET_CACHE_KEYING")
+                 "SHM", "DET_CACHE_KEYING", "JOIN_TIMEOUT")
 
 
 @pytest.fixture(autouse=True)
@@ -44,7 +44,7 @@ class TestFromEnvDefaults:
         assert options == ExecutionOptions(
             engine="vectorized", n_jobs=1, backend="process",
             shard_size=None, replenishment="delta", det_cache="session",
-            window_growth=1.0, speculate_depth=4, join_timeout=None)
+            window_growth=1.0, speculate_depth=4)
 
     def test_one_env_knob_per_field(self):
         assert len(fields(ExecutionOptions)) == len(ALL_KNOBS)
@@ -53,9 +53,9 @@ class TestFromEnvDefaults:
 
     def test_overrides_win_over_environment(self, monkeypatch):
         monkeypatch.setenv("MCDBR_N_JOBS", "4")
-        monkeypatch.setenv("MCDBR_BACKEND", "thread")
-        options = ExecutionOptions.from_env(backend="serial")
-        assert options.backend == "serial"
+        monkeypatch.setenv("MCDBR_BACKEND", "serial")
+        options = ExecutionOptions.from_env(backend="process")
+        assert options.backend == "process"
         assert options.n_jobs == 4  # env still applies where not overridden
 
     def test_unknown_override_is_rejected(self):
@@ -100,7 +100,6 @@ class TestFromEnvValues:
         ("MCDBR_ENGINE", "vectorized", "engine", "vectorized"),
         ("MCDBR_N_JOBS", "3", "n_jobs", 3),
         ("MCDBR_BACKEND", "serial", "backend", "serial"),
-        ("MCDBR_BACKEND", "thread", "backend", "thread"),
         ("MCDBR_BACKEND", "process", "backend", "process"),
         ("MCDBR_SHARD_SIZE", "7", "shard_size", 7),
         ("MCDBR_REPLENISHMENT", "full", "replenishment", "full"),
@@ -111,7 +110,6 @@ class TestFromEnvValues:
         ("MCDBR_WINDOW_GROWTH", "2.5", "window_growth", 2.5),
         ("MCDBR_SPECULATE_DEPTH", "8", "speculate_depth", 8),
         ("MCDBR_SPECULATE_DEPTH", "0", "speculate_depth", 0),
-        ("MCDBR_JOIN_TIMEOUT", "2.5", "join_timeout", 2.5),
     ])
     def test_each_knob_flows_through(self, monkeypatch, name, value,
                                      field, expected):
@@ -131,6 +129,7 @@ class TestFromEnvRejections:
     @pytest.mark.parametrize("name, value", [
         ("MCDBR_ENGINE", "warp-drive"),
         ("MCDBR_BACKEND", "fork"),
+        ("MCDBR_BACKEND", "thread"),
         ("MCDBR_REPLENISHMENT", "partial"),
         ("MCDBR_DET_CACHE", "disk"),
     ])
@@ -175,12 +174,6 @@ class TestFromEnvRejections:
         with pytest.raises(EngineError, match="MCDBR_SPECULATE_DEPTH"):
             ExecutionOptions.from_env()
 
-    @pytest.mark.parametrize("value", ["0", "-2", "soon", ""])
-    def test_invalid_join_timeout(self, monkeypatch, value):
-        monkeypatch.setenv("MCDBR_JOIN_TIMEOUT", value)
-        with pytest.raises(EngineError, match="MCDBR_JOIN_TIMEOUT"):
-            ExecutionOptions.from_env()
-
 
 class TestEnvHelpers:
     """The parsing primitives both ``from_env`` parsers go through."""
@@ -217,8 +210,6 @@ class TestEnvHelpers:
             ExecutionOptions(det_cache="disk")
         with pytest.raises(ValueError, match="speculate_depth"):
             ExecutionOptions(speculate_depth=-1)
-        with pytest.raises(ValueError, match="join_timeout"):
-            ExecutionOptions(join_timeout=0.0)
 
 
 SERVER_KNOBS = ("MCDBR_SERVER_CONCURRENCY", "MCDBR_SERVER_QUEUE_DEPTH",

@@ -402,10 +402,10 @@ class TestOptionsProperty:
     def test_pool_knob_change_closes_owned_pool(self):
         with _loss_session(
                 options=ExecutionOptions(n_jobs=2,
-                                         backend="thread")) as session:
+                                         backend="process")) as session:
             before = session.execute(MC_QUERY)
             assert session.backend is not None
-            session.options = ExecutionOptions(n_jobs=3, backend="thread")
+            session.options = ExecutionOptions(n_jobs=3, backend="process")
             assert session.backend is None  # respawns lazily, resized
             after = session.execute(MC_QUERY)
             assert session.backend is not None
@@ -418,11 +418,11 @@ class TestOptionsProperty:
     def test_non_pool_knob_change_keeps_pool(self):
         with _loss_session(
                 options=ExecutionOptions(n_jobs=2,
-                                         backend="thread")) as session:
+                                         backend="process")) as session:
             session.execute(MC_QUERY)
             pool = session.backend
             session.options = ExecutionOptions(
-                n_jobs=2, backend="thread", engine="reference")
+                n_jobs=2, backend="process", engine="reference")
             assert session.backend is pool
 
     def test_options_change_keeps_det_cache(self):
@@ -439,24 +439,24 @@ class TestOptionsProperty:
             assert session.det_cache.hits > hits
 
     def test_shared_backend_refuses_pool_knob_change(self):
-        options = ExecutionOptions(n_jobs=2, backend="thread")
+        options = ExecutionOptions(n_jobs=2, backend="process")
         pool = SharedBackend(make_backend(options))
         try:
             with _loss_session(options=options,
                                shared_backend=pool) as session:
                 with pytest.raises(EngineError, match="shared backend"):
                     session.options = ExecutionOptions(n_jobs=4,
-                                                       backend="thread")
+                                                       backend="process")
                 # Non-pool knobs are still assignable.
                 session.options = ExecutionOptions(
-                    n_jobs=2, backend="thread", engine="reference")
+                    n_jobs=2, backend="process", engine="reference")
         finally:
             pool.close()
 
 
 class TestSharedBackend:
     def test_cannot_nest(self):
-        options = ExecutionOptions(n_jobs=2, backend="thread")
+        options = ExecutionOptions(n_jobs=2, backend="serial")
         pool = SharedBackend(make_backend(options))
         try:
             with pytest.raises(ValueError, match="wrap"):
@@ -465,7 +465,7 @@ class TestSharedBackend:
             pool.close()
 
     def test_two_sessions_one_pool_bit_identical(self):
-        options = ExecutionOptions(n_jobs=2, backend="thread")
+        options = ExecutionOptions(n_jobs=2, backend="process")
         with _loss_session(options=options) as owner:
             expected = owner.execute(MC_QUERY) \
                 .distributions.aggregates(())["sum0"].samples
