@@ -50,6 +50,11 @@ from repro.sql import Session
 from repro.vg.builtin import NORMAL
 
 BACKENDS = ("serial", "process")
+#: The worker pools: the process backend on its own, and wrapped in the
+#: :class:`SharedBackend` the risk service runs every tenant on.
+POOLS = ("process", "shared")
+#: Every transport a caller can hold.
+TRANSPORTS = BACKENDS + ("shared",)
 
 
 class SpanJob:
@@ -135,7 +140,27 @@ class SharedArrayJob:
 
 
 def _make_backend(name, n_workers=2):
+    if name == "shared":
+        return SharedBackend(ProcessBackend(n_workers))
     return make_backend(ExecutionOptions(n_jobs=n_workers, backend=name))
+
+
+def _pool(backend):
+    """The process pool behind ``backend``, unwrapping a SharedBackend."""
+    return backend.inner if isinstance(backend, SharedBackend) else backend
+
+
+def _assert_free_for_other_threads(backend):
+    """Another thread's job completes: no live token still holds the pool
+    (a SharedBackend keeps its lock from ``init_state`` to the discard)."""
+    results = []
+    thread = threading.Thread(
+        target=lambda: results.append(
+            backend.run_job(SpanJob(), [(0, 1), (1, 2)])),
+        daemon=True)
+    thread.start()
+    thread.join(30)
+    assert results == [[[0], [1]]], "pool still held by a live token"
 
 
 def _mc_executor(rows=12, options=None, det_cache=None):
@@ -187,9 +212,17 @@ class TestShardBounds:
 
 
 class TestOptionsValidation:
-    def test_unknown_backend(self):
+    @pytest.mark.parametrize("backend", ["quantum", "thread"])
+    def test_unknown_backend(self, backend):
+        # "thread" names the retired in-process thread pool.
         with pytest.raises(ValueError, match="unknown backend"):
-            ExecutionOptions(backend="quantum")
+            ExecutionOptions(backend=backend)
+
+    def test_join_timeout_is_not_a_knob(self):
+        """The pool's close() join wait is the module's ``_JOIN_TIMEOUT``
+        constant, not an option."""
+        with pytest.raises(TypeError, match="join_timeout"):
+            ExecutionOptions(join_timeout=1.0)
 
     def test_window_growth_below_one(self):
         with pytest.raises(ValueError, match="window_growth"):
@@ -207,26 +240,27 @@ class TestOptionsValidation:
 class TestResultsTransparency:
     """run_job == the serial loop, on every transport."""
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("backend_name", TRANSPORTS)
     def test_results_in_bounds_order(self, backend_name):
         bounds = [(0, 3), (3, 5), (5, 11), (11, 12)]
         with _make_backend(backend_name, 2) as backend:
             results = backend.run_job(SpanJob(), bounds)
         assert results == [list(range(lo, hi)) for lo, hi in bounds]
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("backend_name", TRANSPORTS)
     def test_single_bound_runs_inline(self, backend_name):
         with _make_backend(backend_name, 2) as backend:
             assert backend.run_job(SpanJob(), [(2, 5)]) == [[2, 3, 4]]
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("backend_name", TRANSPORTS)
     def test_empty_bounds(self, backend_name):
         with _make_backend(backend_name, 2) as backend:
             assert backend.run_job(SpanJob(), []) == []
 
-    def test_more_bounds_than_workers(self):
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_more_bounds_than_workers(self, backend_name):
         bounds = [(i, i + 1) for i in range(17)]
-        with _make_backend("process", 3) as backend:
+        with _make_backend(backend_name, 3) as backend:
             results = backend.run_job(SpanJob(), bounds)
         assert results == [[i] for i in range(17)]
 
@@ -446,21 +480,29 @@ class TestDetCacheShardSemantics:
         DOMAIN loss >= QUANTILE(0.9)
     """
 
-    def _session(self, options=None):
+    def _session(self, options=None, shared_backend=None):
         session = Session(base_seed=11, tail_budget=200, window=150,
-                          options=options)
+                          options=options, shared_backend=shared_backend)
         session.add_table("means", {
             "CID": np.arange(15), "m": np.linspace(1.0, 3.0, 15)})
         session.execute(self.CREATE)
         return session
 
-    def test_worker_fills_do_not_flow_back_under_process(self):
-        with self._session(ExecutionOptions(n_jobs=2)) as session:
-            session.execute(self.MC_QUERY)
-            # Every shard ran in a worker process; the workers
-            # materialized the deterministic subtrees in their local
-            # snapshots, and none of those fills came back.
-            assert len(session.det_cache) == 0
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_worker_fills_do_not_flow_back_under_process(self, backend_name):
+        options = ExecutionOptions(n_jobs=2)
+        pool = _make_backend(backend_name) if backend_name == "shared" \
+            else None
+        try:
+            with self._session(options, shared_backend=pool) as session:
+                session.execute(self.MC_QUERY)
+                # Every shard ran in a worker process; the workers
+                # materialized the deterministic subtrees in their local
+                # snapshots, and none of those fills came back.
+                assert len(session.det_cache) == 0
+        finally:
+            if pool is not None:
+                pool.close()
         serial = self._session()
         serial.execute(self.MC_QUERY)
         assert len(serial.det_cache) > 0
@@ -581,8 +623,9 @@ def _tail_looper(backend=None, n_jobs=2, customers=24, window=4000,
 class TestWorkerStateProtocol:
     """init_state / call / cast / scatter / collect / discard round-trips."""
 
-    def test_process_roundtrip_and_ownership(self):
-        backend = ProcessBackend(2)
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_process_roundtrip_and_ownership(self, backend_name):
+        backend = _make_backend(backend_name)
         try:
             # Three shards on two workers: shard 2 shares worker 0.
             token = backend.init_state([
@@ -598,13 +641,15 @@ class TestWorkerStateProtocol:
             backend.discard_state(token)
             with pytest.raises(EngineError, match="unknown worker state"):
                 backend.state_call(token, 0, "total")
+            _assert_free_for_other_threads(backend)
         finally:
             backend.close()
 
-    def test_process_scatter_collects_in_any_order(self):
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_process_scatter_collects_in_any_order(self, backend_name):
         """Out-of-order collection across shards co-located on one worker
         must not cross replies (the ticket stash)."""
-        backend = ProcessBackend(2)
+        backend = _make_backend(backend_name)
         try:
             token = backend.init_state([
                 LedgerState(str(shard), range(shard, shard + 4))
@@ -615,13 +660,16 @@ class TestWorkerStateProtocol:
             assert backend.state_collect(token, 0) == ("0", [0, 1])
             assert backend.state_collect(token, 2) == ("2", [2, 3, 4, 5])
             assert backend.state_collect(token, 1) == ("1", [2, 3])
+            backend.discard_state(token)
+            _assert_free_for_other_threads(backend)
         finally:
             backend.close()
 
-    def test_discard_drains_uncollected_scatter_replies(self):
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_discard_drains_uncollected_scatter_replies(self, backend_name):
         """A state discarded with replies still in flight must not leak
         them into later traffic (the drain barrier)."""
-        backend = ProcessBackend(2)
+        backend = _make_backend(backend_name)
         try:
             token = backend.init_state([LedgerState("x", [1]),
                                         LedgerState("y", [2])])
@@ -634,10 +682,12 @@ class TestWorkerStateProtocol:
             backend.state_scatter(fresh, "total", [(), ()])
             assert backend.state_collect(fresh, 0) == ("f", 7)
             assert backend.state_collect(fresh, 1) == ("g", 8)
+            backend.discard_state(fresh)
+            _assert_free_for_other_threads(backend)
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("backend_name", TRANSPORTS)
     def test_double_scatter_is_a_protocol_error(self, backend_name):
         """Re-scattering over an uncollected reply would orphan it (and
         its stash slot, on the process transport) — every backend must
@@ -649,6 +699,8 @@ class TestWorkerStateProtocol:
             with pytest.raises(EngineError, match="already has a scattered"):
                 backend.state_scatter(token, "total", [()])
             assert backend.state_collect(token, 0) == ("a", 1)
+            backend.discard_state(token)
+            _assert_free_for_other_threads(backend)
         finally:
             backend.close()
 
@@ -694,116 +746,152 @@ class TestWorkerStateProtocol:
 
 
 class TestWorkerStateFaults:
-    """Fault injection: every failure is a clean EngineError + pool reset."""
+    """Fault injection: every failure is a clean EngineError + pool reset.
 
-    def test_state_error_carries_traceback_and_resets_pool(self):
-        backend = ProcessBackend(2)
+    On the shared pool each case then discards its tokens, as the looper
+    does while unwinding, and checks that another thread gets the pool.
+    """
+
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_state_error_carries_traceback_and_resets_pool(self,
+                                                           backend_name):
+        backend = _make_backend(backend_name)
         try:
             token = backend.init_state([ExplodingState(), ExplodingState()])
-            processes = [worker.process for worker in backend._workers]
+            processes = [worker.process
+                         for worker in _pool(backend)._workers]
             assert backend.state_call(token, 0, "ok") == "fine"
             with pytest.raises(EngineError, match="state op exploded"):
                 backend.state_call(token, 1, "boom")
-            assert backend.workers_alive == 0  # pool reset, no stale replies
+            # Pool reset, no stale replies.
+            assert _pool(backend).workers_alive == 0
             assert not any(process.is_alive() for process in processes)
             fresh = backend.init_state([ExplodingState()])  # respawns
             assert backend.state_call(fresh, 0, "ok") == "fine"
+            backend.discard_state(token)
+            backend.discard_state(fresh)
+            _assert_free_for_other_threads(backend)
         finally:
             backend.close()
 
-    def test_cast_error_surfaces_on_next_reply(self):
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_cast_error_surfaces_on_next_reply(self, backend_name):
         """A failed notification has no reply slot of its own; its error
         must surface on the next synchronous operation instead of being
         silently swallowed (a diverged mirror must never serve)."""
-        backend = ProcessBackend(2)
+        backend = _make_backend(backend_name)
         try:
             token = backend.init_state([ExplodingState()])
             backend.state_cast(token, 0, "boom")
             with pytest.raises(EngineError, match="state op exploded"):
                 backend.state_call(token, 0, "ok")
-            assert backend.workers_alive == 0
+            assert _pool(backend).workers_alive == 0
+            backend.discard_state(token)
+            _assert_free_for_other_threads(backend)
         finally:
             backend.close()
 
-    def test_init_unpickle_failure_carries_worker_traceback(self):
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_init_unpickle_failure_carries_worker_traceback(self,
+                                                            backend_name):
         """The sinit payload rides as a nested blob so a worker-side
         unpickling failure is caught in the worker's handler and comes
         back as a traceback — not a silent worker death."""
-        backend = ProcessBackend(2)
+        backend = _make_backend(backend_name)
         try:
             token = backend.init_state([UnpicklableState()])
             with pytest.raises(EngineError,
                                match="worker-side unpickle exploded"):
                 backend.state_call(token, 0, "ok")
-            assert backend.workers_alive == 0
+            assert _pool(backend).workers_alive == 0
+            backend.discard_state(token)
+            _assert_free_for_other_threads(backend)
         finally:
             backend.close()
 
-    def test_discard_surfaces_drained_cast_error(self):
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_discard_surfaces_drained_cast_error(self, backend_name):
         """A cast that fails with NO later synchronous operation must not
         vanish: the discard barrier drains its error reply and re-raises
         it — a diverged mirror is never silent, even at query end."""
-        backend = ProcessBackend(2)
+        backend = _make_backend(backend_name)
         try:
             token = backend.init_state([ExplodingState()])
             backend.state_cast(token, 0, "boom")
             with pytest.raises(EngineError, match="state op exploded"):
                 backend.discard_state(token)
-            assert backend.workers_alive == 0
+            assert _pool(backend).workers_alive == 0
             fresh = backend.init_state([ExplodingState()])
             assert backend.state_call(fresh, 0, "ok") == "fine"
+            backend.discard_state(fresh)
+            _assert_free_for_other_threads(backend)
         finally:
             backend.close()
 
-    def test_worker_killed_mid_call(self):
-        backend = ProcessBackend(2)
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_worker_killed_mid_call(self, backend_name):
+        backend = _make_backend(backend_name)
         try:
             token = backend.init_state([SuicidalState(), SuicidalState()])
             assert backend.state_call(token, 0, "ok") == "alive"
             with pytest.raises(EngineError, match="died"):
                 backend.state_call(token, 1, "die")
-            assert backend.workers_alive == 0
+            assert _pool(backend).workers_alive == 0
             fresh = backend.init_state([SuicidalState()])
             assert backend.state_call(fresh, 0, "ok") == "alive"
+            backend.discard_state(token)
+            backend.discard_state(fresh)
+            _assert_free_for_other_threads(backend)
         finally:
             backend.close()
 
-    def test_worker_killed_between_calls(self):
-        backend = ProcessBackend(2)
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_worker_killed_between_calls(self, backend_name):
+        backend = _make_backend(backend_name)
         try:
             token = backend.init_state([LedgerState("a", [1]),
                                         LedgerState("b", [2])])
             assert backend.state_call(token, 0, "total") == ("a", 1)
-            processes = [worker.process for worker in backend._workers]
+            processes = [worker.process
+                         for worker in _pool(backend)._workers]
             processes[0].terminate()
             processes[0].join()
             with pytest.raises(EngineError, match="died"):
                 for _ in range(3):  # first send may land in the dead pipe
                     backend.state_call(token, 0, "total")
-            assert backend.workers_alive == 0
+            assert _pool(backend).workers_alive == 0
             # The reset stopped the surviving worker too.
             assert not any(process.is_alive() for process in processes)
+            backend.discard_state(token)
+            _assert_free_for_other_threads(backend)
         finally:
             backend.close()
 
-    def test_state_dies_with_close_and_respawn_is_explicit(self):
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_state_dies_with_close_and_respawn_is_explicit(self,
+                                                           backend_name):
         """The respawn-after-close contract: a closed pool's state tokens
         are dead — state calls raise immediately instead of lazily
         spawning workers that never held the state — and only a fresh
         init_state repopulates the respawned pool."""
-        backend = ProcessBackend(2)
+        backend = _make_backend(backend_name)
         try:
             token = backend.init_state([LedgerState("a", [5])])
             assert backend.state_call(token, 0, "total") == ("a", 5)
             backend.close()
             backend.close()  # idempotent
-            assert backend.workers_alive == 0
+            assert _pool(backend).workers_alive == 0
             with pytest.raises(EngineError, match="unknown worker state"):
                 backend.state_call(token, 0, "total")
-            assert backend.workers_alive == 0  # no silent lazy respawn
+            # No silent lazy respawn.
+            assert _pool(backend).workers_alive == 0
             fresh = backend.init_state([LedgerState("z", [6])])
             assert backend.state_call(fresh, 0, "total") == ("z", 6)
-            assert backend.stats["spawns"] == 4  # 2 original + 2 respawned
+            # 2 original + 2 respawned.
+            assert _pool(backend).stats["spawns"] == 4
+            backend.discard_state(token)
+            backend.discard_state(fresh)
+            _assert_free_for_other_threads(backend)
         finally:
             backend.close()
 
@@ -891,11 +979,13 @@ class TestWorkerStateTransport:
     Worker-owned state ships the tuple/state snapshot once at init and
     then sends commit notifications a few hundred bytes each.  These
     tests pin the shape: one init, zero job broadcasts, no re-ship after
-    sweep 1, and delta refuels spliced instead of re-shipped.
+    sweep 1, and delta refuels spliced instead of re-shipped — on the
+    bare pool and behind the shared wrapper alike.
     """
 
-    def test_zero_snapshot_reships_after_sweep_one(self):
-        backend = ProcessBackend(2)
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_zero_snapshot_reships_after_sweep_one(self, backend_name):
+        backend = _make_backend(backend_name)
         try:
             result = _tail_looper(backend=backend).run()
             stats = backend.stats
@@ -911,11 +1001,12 @@ class TestWorkerStateTransport:
         finally:
             backend.close()
 
-    def test_delta_reinit_merges_instead_of_reshipping(self):
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_delta_reinit_merges_instead_of_reshipping(self, backend_name):
         """A replenishing workload must ship the snapshot exactly once
         and survive every refuel with a ``state_merge`` splice strictly
         smaller than the snapshot."""
-        backend = ProcessBackend(2)
+        backend = _make_backend(backend_name)
         try:
             result = _tail_looper(backend=backend, window=500,
                                   versions=30, p_step=0.15).run()
@@ -932,11 +1023,13 @@ class TestWorkerStateTransport:
         finally:
             backend.close()
 
-    def test_full_reinit_reships_snapshot_after_each_refuel(self):
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_full_reinit_reships_snapshot_after_each_refuel(self,
+                                                            backend_name):
         """``replenishment="full"`` rebuilds the tuple structure, so each
         refuel discards the worker state and ships a fresh snapshot —
         never a splice."""
-        backend = ProcessBackend(2)
+        backend = _make_backend(backend_name)
         try:
             result = _tail_looper(backend=backend, window=500,
                                   versions=30, p_step=0.15,
@@ -965,24 +1058,57 @@ class TestPoolLifecycle:
 
     ``workers_alive`` counts the pool's *current* handles, which a reset
     empties, so these tests keep the original process handles and check
-    each of them directly (the fault-reset cases live in
-    :class:`TestWorkerStateFaults`).
+    each of them directly (the worker-state fault resets live in
+    :class:`TestWorkerStateFaults`; the job-path resets are here).
     """
 
     @staticmethod
     def _processes(backend):
-        return [worker.process for worker in backend._workers]
+        return [worker.process for worker in _pool(backend)._workers]
 
-    def test_close_stops_every_worker(self):
-        backend = ProcessBackend(2)
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_close_stops_every_worker(self, backend_name):
+        backend = _make_backend(backend_name)
         array = np.arange(30_000, dtype=np.float64)
         backend.run_job(SharedArrayJob(("t", 1), array),
                         [(0, 15_000), (15_000, 30_000)])
         backend.init_state([LedgerState("a", [1]), LedgerState("b", [2])])
         processes = self._processes(backend)
         backend.close()  # token never discarded: close must still stop all
-        assert backend.workers_alive == 0
+        assert _pool(backend).workers_alive == 0
         assert not any(process.is_alive() for process in processes)
+
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_worker_error_reset_stops_every_worker(self, backend_name):
+        """An in-worker job failure resets the pool before any close():
+        both original workers are gone, not just the failing one."""
+        backend = _make_backend(backend_name)
+        try:
+            backend.run_job(SpanJob(), [(0, 1), (1, 2)])
+            processes = self._processes(backend)
+            with pytest.raises(EngineError, match="boom at"):
+                backend.run_job(FailingJob(), [(0, 1), (1, 2)])
+            assert _pool(backend).workers_alive == 0
+            assert not any(process.is_alive() for process in processes)
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_worker_kill_reset_stops_every_worker(self, backend_name):
+        """A worker lost to SIGKILL between jobs surfaces on the next job;
+        the reset also stops the surviving worker."""
+        backend = _make_backend(backend_name)
+        try:
+            backend.run_job(SpanJob(), [(0, 1), (1, 2)])
+            processes = self._processes(backend)
+            processes[0].kill()
+            processes[0].join()
+            with pytest.raises(EngineError, match="died"):
+                backend.run_job(SpanJob(), [(0, 1), (1, 2)])
+            assert _pool(backend).workers_alive == 0
+            assert not any(process.is_alive() for process in processes)
+        finally:
+            backend.close()
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -1022,14 +1148,30 @@ class _FailingDiscard(SerialBackend):
         raise EngineError("discard drained a worker error")
 
 
+class _FlakyCollectPool(ProcessBackend):
+    """A process pool whose third scatter collection fails parent-side,
+    mid-sweep, while the looper holds a live state token."""
+
+    def __init__(self, n_workers):
+        super().__init__(n_workers)
+        self.collects = 0
+
+    def state_collect(self, token, shard):
+        self.collects += 1
+        if self.collects == 3:
+            raise EngineError("injected collect failure")
+        return super().state_collect(token, shard)
+
+
 class TestSharedBackendLock:
     """A live state token owns the shared pool until its discard.
 
     Tenants that interleave *between* operations can deadlock a process
     pool (a cast blocked on a worker that is itself blocked writing
     another tenant's uncollected scatter reply), so the lock spans the
-    token's whole life.  These tests run on the serial backend: the lock
-    is the wrapper's, whatever the transport.
+    token's whole life.  The protocol cases run on the serial backend
+    (the lock is the wrapper's, whatever the transport); the looper and
+    tenant cases run on the process pool the service shares.
     """
 
     WAIT = 0.3  # seconds a blocked thread is given to (wrongly) finish
@@ -1094,6 +1236,88 @@ class TestSharedBackendLock:
         assert done.wait(10)
         thread.join()
 
+    def test_nested_tokens_hold_until_the_last_discard(self):
+        """One thread may hold several tokens at once: the pool stays
+        held until every one of them is discarded."""
+        shared = SharedBackend(SerialBackend())
+        first = shared.init_state([LedgerState("a", [1])])
+        second = shared.init_state([LedgerState("b", [2])])
+        shared.discard_state(first)
+        thread, done = self._start(
+            lambda: shared.run_job(SpanJob(), [(0, 1)]))
+        assert not done.wait(self.WAIT)
+        assert shared.state_call(second, 0, "total") == ("b", 2)
+        shared.discard_state(second)
+        assert done.wait(10)
+        thread.join()
+
+    def test_looper_fault_hands_the_pool_back(self):
+        """A sharded Gibbs run that fails mid-sweep still reaches its
+        discard, so the other tenants' work proceeds afterwards."""
+        shared = SharedBackend(_FlakyCollectPool(2))
+        try:
+            with pytest.raises(EngineError, match="injected collect"):
+                _tail_looper(backend=shared).run()
+            assert shared.inner.collects >= 3
+            thread, done = self._start(
+                lambda: shared.run_job(SpanJob(), [(0, 1), (1, 2)]))
+            assert done.wait(30)
+            thread.join()
+            # The same pool then serves a healthy run bit-identically.
+            shared.inner.collects = 10
+            expected = _tail_looper(backend_name="serial").run()
+            again = _tail_looper(backend=shared).run()
+            np.testing.assert_array_equal(again.samples, expected.samples)
+        finally:
+            shared.close()
+
+    def test_two_tenants_share_one_pool_bit_identically(self):
+        """Two threads run sharded tail and Monte Carlo queries at once
+        over one shared process pool: both finish (the interleaving that
+        used to deadlock the pool) with the serial session's bits."""
+        tail_query = TestWorkerStateQueryFaults.TAIL_QUERY
+        mc_query = TestDetCacheShardSemantics.MC_QUERY
+
+        def session(**kwargs):
+            session = Session(base_seed=11, tail_budget=200, window=150,
+                              **kwargs)
+            session.add_table("means", {
+                "CID": np.arange(15), "m": np.linspace(1.0, 3.0, 15)})
+            session.execute(TestDetCacheShardSemantics.CREATE)
+            return session
+
+        with session() as serial:
+            expected_tail = serial.execute(tail_query).tail.samples
+            expected_mc = serial.execute(mc_query) \
+                .distributions.distribution("loss").samples
+        options = ExecutionOptions(n_jobs=2)
+        shared = SharedBackend(make_backend(options))
+        outputs = {}
+
+        def tenant(name):
+            with session(options=options, shared_backend=shared) as own:
+                outputs[name] = [
+                    (own.execute(tail_query).tail.samples,
+                     own.execute(mc_query)
+                     .distributions.distribution("loss").samples)
+                    for _ in range(3)]
+
+        try:
+            threads = [threading.Thread(target=tenant, args=(name,),
+                                        daemon=True) for name in "ab"]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sorted(outputs) == ["a", "b"]
+            for rounds in outputs.values():
+                for tail, mc in rounds:
+                    np.testing.assert_array_equal(tail, expected_tail)
+                    np.testing.assert_array_equal(mc, expected_mc)
+        finally:
+            shared.close()
+
 
 def _shmem_kb(pid: int) -> int:
     with open(f"/proc/{pid}/status", encoding="ascii") as handle:
@@ -1124,26 +1348,34 @@ class TestBoundedResources:
         DOMAIN loss >= QUANTILE(0.9)
     """
 
-    def test_append_churn_maps_no_shm(self):
+    @pytest.mark.parametrize("backend_name", POOLS)
+    def test_append_churn_maps_no_shm(self, backend_name):
         rows = 1_000
         rng = np.random.default_rng(5)
-        with Session(base_seed=7, tail_budget=100, window=400,
-                     options=ExecutionOptions(n_jobs=2)) as session:
-            session.add_table("means", {
-                "CID": np.arange(rows), "m": rng.uniform(0.5, 3.0, rows)})
-            session.execute(TestDetCacheShardSemantics.CREATE)
-            for round_ in range(30):
-                start = rows + 10 * round_
-                session.append("means", {
-                    "CID": np.arange(start, start + 10),
-                    "m": rng.uniform(0.5, 3.0, 10)})
-                session.execute(self.MC_QUERY)
-                if round_ % 5 == 4:
-                    session.execute(self.TAIL_QUERY)
-                segments = sorted(name for name in os.listdir("/dev/shm")
-                                  if name.startswith("mcdbr-")) \
-                    if os.path.isdir("/dev/shm") else []
-                assert segments == [], f"round {round_}: {segments}"
-                pids = session.backend.worker_pids()
-                assert pids
-                assert [_shmem_kb(pid) for pid in pids] == [0] * len(pids)
+        pool = _make_backend(backend_name) if backend_name == "shared" \
+            else None
+        try:
+            with Session(base_seed=7, tail_budget=100, window=400,
+                         options=ExecutionOptions(n_jobs=2),
+                         shared_backend=pool) as session:
+                session.add_table("means", {
+                    "CID": np.arange(rows), "m": rng.uniform(0.5, 3.0, rows)})
+                session.execute(TestDetCacheShardSemantics.CREATE)
+                for round_ in range(30):
+                    start = rows + 10 * round_
+                    session.append("means", {
+                        "CID": np.arange(start, start + 10),
+                        "m": rng.uniform(0.5, 3.0, 10)})
+                    session.execute(self.MC_QUERY)
+                    if round_ % 5 == 4:
+                        session.execute(self.TAIL_QUERY)
+                    segments = sorted(name for name in os.listdir("/dev/shm")
+                                      if name.startswith("mcdbr-")) \
+                        if os.path.isdir("/dev/shm") else []
+                    assert segments == [], f"round {round_}: {segments}"
+                    pids = _pool(session.backend).worker_pids()
+                    assert pids
+                    assert [_shmem_kb(pid) for pid in pids] == [0] * len(pids)
+        finally:
+            if pool is not None:
+                pool.close()

@@ -12,6 +12,11 @@ must be bit-identical to the serial reference.  Nothing here is
 approximate: every comparison is exact.
 """
 
+import contextlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.gibbs_looper import GibbsLooper
 from repro.core.params import TailParams
+from repro.engine.backends import SharedBackend, make_backend
 from repro.engine.expressions import col, lit
 from repro.engine.mcdb import AggregateSpec, MonteCarloExecutor
 from repro.engine.operators import (
@@ -30,7 +36,29 @@ from repro.sql import Session
 from repro.vg.builtin import DISCRETE_CHOICE, NORMAL
 
 ENGINES = ("reference", "vectorized")
-BACKENDS = ("serial", "process")
+#: The transport axis: both backends, plus ``"shared"`` — the process
+#: pool behind the :class:`SharedBackend` the risk service runs every
+#: tenant on, which holds its lock across a query's worker-owned state.
+BACKENDS = ("serial", "process", "shared")
+
+
+@contextlib.contextmanager
+def _transport(backend, **options):
+    """``(ExecutionOptions, pool)`` for a transport name.
+
+    ``pool`` is ``None`` for a plain backend (the consumer builds and
+    closes its own) and the borrowed :class:`SharedBackend` for
+    ``"shared"``, closed here when the block ends.
+    """
+    if backend != "shared":
+        yield ExecutionOptions(backend=backend, **options), None
+        return
+    options = ExecutionOptions(backend="process", **options)
+    pool = SharedBackend(make_backend(options))
+    try:
+        yield options, pool
+    finally:
+        pool.close()
 
 
 def _losses_catalog(customers):
@@ -80,17 +108,16 @@ class TestLooperEquivalence:
         params = TailParams(p=p_step ** m, m=m, n_steps=(versions,) * m,
                             p_steps=(p_step,) * m)
         expr = None if aggregate_kind == "count" else col("val")
-        return GibbsLooper(
-            plan, catalog, params, num_samples,
-            aggregate_kind=aggregate_kind, aggregate_expr=expr,
-            window=window, base_seed=base_seed, k=k,
-            max_proposals=max_proposals,
-            options=ExecutionOptions(engine=engine,
-                                     replenishment=replenishment,
-                                     n_jobs=n_jobs, backend=backend,
-                                     shard_size=shard_size,
-                                     window_growth=window_growth,
-                                     speculate_depth=speculate_depth)).run()
+        with _transport(backend, engine=engine, replenishment=replenishment,
+                        n_jobs=n_jobs, shard_size=shard_size,
+                        window_growth=window_growth,
+                        speculate_depth=speculate_depth) as (options, pool):
+            return GibbsLooper(
+                plan, catalog, params, num_samples,
+                aggregate_kind=aggregate_kind, aggregate_expr=expr,
+                window=window, base_seed=base_seed, k=k,
+                max_proposals=max_proposals, options=options,
+                backend=pool).run()
 
     @given(customers=st.integers(3, 15),
            window=st.integers(60, 300),
@@ -293,7 +320,7 @@ class TestMonteCarloSharding:
     """MonteCarloExecutor results must not depend on n_jobs/shard layout."""
 
     @staticmethod
-    def _executor(options=None, group_by=(), base_seed=3):
+    def _executor(options=None, group_by=(), base_seed=3, backend=None):
         catalog, spec = _losses_catalog(12)
         catalog.add_table(Table("segments", {
             "CID2": np.arange(12), "seg": ["a"] * 5 + ["b"] * 7}))
@@ -308,7 +335,7 @@ class TestMonteCarloSharding:
         ]
         return MonteCarloExecutor(plan, aggregates, catalog,
                                   group_by=group_by, base_seed=base_seed,
-                                  options=options)
+                                  options=options, backend=backend)
 
     @staticmethod
     def _assert_results_equal(a, b):
@@ -365,9 +392,9 @@ class TestSessionLevelEquivalence:
         SELECT CID, myVal.* FROM myVal
     """
 
-    def _session(self, options=None):
+    def _session(self, options=None, shared_backend=None):
         session = Session(base_seed=11, tail_budget=300, window=200,
-                          options=options)
+                          options=options, shared_backend=shared_backend)
         session.add_table("means", {
             "CID": np.arange(15), "m": np.linspace(1.0, 3.0, 15)})
         session.execute(self.CREATE)
@@ -436,8 +463,8 @@ class TestSessionLevelEquivalence:
             WITH RESULTDISTRIBUTION MONTECARLO(90)
         """
         serial_mc = self._session().execute(mc_query)
-        with self._session(ExecutionOptions(
-                n_jobs=2, backend=backend)) as session:
+        with _transport(backend, n_jobs=2) as (options, pool), \
+                self._session(options, shared_backend=pool) as session:
             sharded_tail = session.execute(self.TAIL_QUERY)
             sharded_mc = session.execute(mc_query)
         _assert_identical(serial_tail.tail, sharded_tail.tail)
@@ -486,11 +513,12 @@ class TestBackendMatrix:
     @pytest.mark.parametrize("n_jobs", [2, 3])
     def test_monte_carlo_backends_equal_serial(self, backend, n_jobs):
         serial = TestMonteCarloSharding._executor().run(120)
-        sharded = TestMonteCarloSharding._executor(
-            ExecutionOptions(n_jobs=n_jobs, backend=backend)).run(120)
+        with _transport(backend, n_jobs=n_jobs) as (options, pool):
+            sharded = TestMonteCarloSharding._executor(
+                options, backend=pool).run(120)
         TestMonteCarloSharding._assert_results_equal(serial, sharded)
 
-    @pytest.mark.parametrize("speculate_depth", [0, 4])
+    @pytest.mark.parametrize("speculate_depth", [0, 1, 4])
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("replenishment", ["delta", "full"])
     def test_gibbs_seed_sharding_equals_serial(self, backend, replenishment,
@@ -552,12 +580,13 @@ class TestBackendMatrix:
         serial = runner._run("vectorized", base_seed=7)
         catalog, plan = TestMultiSeedPlans._salary_plan()
         params = TailParams(p=0.1, m=1, n_steps=(60,), p_steps=(0.1,))
-        sharded = GibbsLooper(
-            plan, catalog, params, 30, aggregate_kind="sum",
-            aggregate_expr=col("e2.sal") - col("e1.sal"),
-            final_predicate=col("e2.sal") > col("e1.sal"),
-            window=500, base_seed=7,
-            options=ExecutionOptions(n_jobs=2, backend=backend)).run()
+        with _transport(backend, n_jobs=2) as (options, pool):
+            sharded = GibbsLooper(
+                plan, catalog, params, 30, aggregate_kind="sum",
+                aggregate_expr=col("e2.sal") - col("e1.sal"),
+                final_predicate=col("e2.sal") > col("e1.sal"),
+                window=500, base_seed=7, options=options,
+                backend=pool).run()
         _assert_identical(serial, sharded)
         assert sharded.sharded_windows == 0
         assert sharded.followup_windows == 0
@@ -572,18 +601,19 @@ class TestBackendMatrix:
         mid-session — must reproduce the uncached oracle's tail samples
         bit-for-bit, on every backend and under both replenishment
         modes."""
-        def run(options):
-            with self._sql._session(options) as session:
+        def run(backend, **options):
+            with _transport(backend, **options) as (options, pool), \
+                    self._sql._session(options,
+                                       shared_backend=pool) as session:
                 before = session.execute(self._sql.TAIL_QUERY)
                 session.append("means", {"CID": [15, 16], "m": [3.2, 3.4]})
                 after = session.execute(self._sql.TAIL_QUERY)
                 stats = session.cache_stats()
             return before, after, stats
 
-        baseline = run(ExecutionOptions(det_cache="off",
-                                        replenishment=replenishment))
-        cached = run(ExecutionOptions(n_jobs=2, backend=backend,
-                                      replenishment=replenishment))
+        baseline = run("process", det_cache="off",
+                       replenishment=replenishment)
+        cached = run(backend, n_jobs=2, replenishment=replenishment)
         _assert_identical(baseline[0].tail, cached[0].tail)
         _assert_identical(baseline[1].tail, cached[1].tail)
         assert cached[2]["append_refreshes"] >= 1
@@ -755,13 +785,13 @@ class TestDeltaStateReinit:
             passthrough_columns=("CID",))
         params = TailParams(p=0.12 ** 2, m=2, n_steps=(40, 40),
                             p_steps=(0.12, 0.12))
-        return GibbsLooper(
-            random_table_pipeline(spec), catalog, params, 20,
-            aggregate_kind="sum", aggregate_expr=col("val"),
-            window=1200, base_seed=13, k=2,
-            options=ExecutionOptions(
-                n_jobs=n_jobs, backend=backend,
-                speculate_depth=speculate_depth)).run()
+        with _transport(backend, n_jobs=n_jobs,
+                        speculate_depth=speculate_depth) as (options, pool):
+            return GibbsLooper(
+                random_table_pipeline(spec), catalog, params, 20,
+                aggregate_kind="sum", aggregate_expr=col("val"),
+                window=1200, base_seed=13, k=2, options=options,
+                backend=pool).run()
 
     @pytest.mark.parametrize("speculate_depth", [0, 1, 4])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -790,7 +820,7 @@ class TestDeltaStateReinit:
         assert result.worker_state_merges == 0
         assert result.worker_state_inits > 1
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_speculation_serves_windows_bit_identically(self, backend):
         serial = self._run_skewed()
         plain = self._run_skewed(n_jobs=2, backend=backend,
@@ -918,14 +948,14 @@ class TestSpeculationChains:
             passthrough_columns=("CID",))
         params = TailParams(p=0.03 ** 3, m=3, n_steps=(34,) * 3,
                             p_steps=(0.03,) * 3)
-        return GibbsLooper(
-            random_table_pipeline(spec), catalog, params, 8,
-            aggregate_kind="sum", aggregate_expr=col("val"),
-            window=30000, base_seed=base_seed, k=1, max_proposals=30000,
-            options=ExecutionOptions(
-                n_jobs=n_jobs, backend=backend, window_growth=2.0,
-                speculate_depth=speculate_depth,
-                shard_size=shard_size)).run()
+        with _transport(backend, n_jobs=n_jobs, window_growth=2.0,
+                        speculate_depth=speculate_depth,
+                        shard_size=shard_size) as (options, pool):
+            return GibbsLooper(
+                random_table_pipeline(spec), catalog, params, 8,
+                aggregate_kind="sum", aggregate_expr=col("val"),
+                window=30000, base_seed=base_seed, k=1,
+                max_proposals=30000, options=options, backend=pool).run()
 
     @pytest.mark.parametrize("replenishment", ["delta", "full"])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -962,7 +992,7 @@ class TestSpeculationChains:
         assert result.wasted_speculations == 0
         assert result.speculation_chain_depth == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_deep_chains_flow_bit_identically(self, backend):
         serial = self._run_chain()
         deep = self._run_chain(n_jobs=2, backend=backend,
@@ -1132,3 +1162,33 @@ class TestWindowGrowth:
         self._assert_same_samples(
             self._runner._run("vectorized", **kwargs),
             self._runner._run("vectorized", window_growth=growth, **kwargs))
+
+
+class TestQuickstartEquivalence:
+    """``examples/quickstart.py`` end to end: at ``MCDBR_N_JOBS=2`` every
+    backend prints the unsharded run's output — VaR, ES and the FTABLE
+    post-queries — byte for byte."""
+
+    SCRIPT = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "examples", "quickstart.py")
+
+    @classmethod
+    def _stdout(cls, **env):
+        src = os.path.join(os.path.dirname(os.path.dirname(cls.SCRIPT)),
+                           "src")
+        proc = subprocess.run(
+            [sys.executable, cls.SCRIPT], capture_output=True, text=True,
+            timeout=600, env=dict(os.environ, PYTHONPATH=src, **env))
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.fixture(scope="class")
+    def unsharded(self):
+        return self._stdout(MCDBR_N_JOBS="1")
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_quickstart_output_is_backend_invariant(self, unsharded,
+                                                    backend):
+        assert "value at risk" in unsharded
+        assert self._stdout(MCDBR_BACKEND=backend,
+                            MCDBR_N_JOBS="2") == unsharded
